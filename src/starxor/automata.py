@@ -49,12 +49,6 @@ class Dfa:
         if self.letter_labels is not None and len(self.letter_labels) != self.letter_count:
             raise ValueError("letter_labels length must match letter_count")
 
-    def transition(self, q: int, letter: int) -> int:
-        return self.delta[q][letter]
-
-    def is_final(self, q: int) -> bool:
-        return q in self.finals
-
 
 @dataclass(frozen=True)
 class NerodePartition:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Sequence
 
@@ -118,24 +119,35 @@ def _cmd_verify_figures(args: argparse.Namespace) -> int:
 
 
 def _cmd_export(args: argparse.Namespace) -> int:
-    try:
-        message = export_artifact(
-            args.what,
-            args.format,
-            args.out,
-            n1=args.n1,
-            n2=args.n2,
-            max_x=args.max_x,
-            max_y=args.max_y,
-        )
-    except ValueError as exc:
-        print(f"export error: {exc}", file=sys.stderr)
-        return 2
+    message = export_artifact(
+        args.what,
+        args.format,
+        args.out,
+        n1=args.n1,
+        n2=args.n2,
+        max_x=args.max_x,
+        max_y=args.max_y,
+    )
     print(message)
     return 0
 
 
+def _check_usage(args: argparse.Namespace) -> None:
+    """Reject bad sizes, worker counts and output paths before any work starts."""
+    if args.jobs < 1:
+        raise ValueError("--jobs must be at least 1")
+    if args.subcommand in ("sc", "sweep-finals"):
+        if min(args.n1, args.n2) < 1:
+            raise ValueError("--n1 and --n2 must be at least 1")
+        if getattr(args, "method", None) in ("witness", "all") and min(args.n1, args.n2) < 2:
+            raise ValueError("--n1 and --n2 must be at least 2 when the witness runs")
+    for path in (getattr(args, name, None) for name in ("report", "csv", "out")):
+        if path and not os.path.isdir(os.path.dirname(path) or "."):
+            raise ValueError(f"the directory of {path} does not exist")
+
+
 def main(argv: Sequence[str] | None = None) -> int:
+    """Run one subcommand; a usage error prints one line to stderr and returns 2."""
     args = _build_parser().parse_args(argv)
     handler = {
         "sc": _cmd_sc,
@@ -143,7 +155,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         "verify-figures": _cmd_verify_figures,
         "export": _cmd_export,
     }[args.subcommand]
-    return handler(args)
+    try:
+        _check_usage(args)
+        return handler(args)
+    except ValueError as exc:
+        print(f"{args.subcommand} error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

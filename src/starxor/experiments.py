@@ -3,22 +3,16 @@
 from __future__ import annotations
 
 import csv
-import itertools
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 from typing import Any, Iterable
 
-from .automata import (
-    Dfa,
-    export_dot,
-    export_json,
-    minimize,
-    preimage_by_renaming,
-)
-from .modifiers import DEFAULT_STATE_CAP, star_modifier, stx
+from .automata import Dfa, export_dot, export_json, preimage_by_renaming
+from .modifiers import DEFAULT_STATE_CAP, star_modifier
 from .monsters import DEFAULT_LETTER_CAP, MonsterSpec, monster1, monster2
-from .reports import ExperimentReport
+from .reports import ExperimentReport, measure_stx, verdict
 from .tableaux import (
     count_constrained,
     count_rtf,
@@ -58,27 +52,18 @@ def full_monster_report(
     """Minimal star-of-xor size over the full pair alphabet, with target finals."""
     t0 = time.perf_counter()
     predicted = predicted_complexity(n1, n2)
-    parameters = {"n1": n1, "n2": n2, "method": "full-monster"}
-    try:
-        spec = MonsterSpec.pair(n1, n2, {n1 - 1}, {0})
-        first, second = monster2(spec, cap_letters=cap_letters)
-        measured = minimize(stx(first, second, cap_states=cap_states)).state_count
-    except LimitExceeded as exc:
-        return ExperimentReport(
-            command="sc",
-            parameters=parameters,
-            predicted=predicted,
-            verdict="skipped",
-            wall_time_ms=_elapsed_ms(t0),
-            note=str(exc),
-        )
+    measured, note = measure_stx(
+        lambda: monster2(MonsterSpec.pair(n1, n2, {n1 - 1}, {0}), cap_letters=cap_letters),
+        cap_states,
+    )
     return ExperimentReport(
         command="sc",
-        parameters=parameters,
+        parameters={"n1": n1, "n2": n2, "method": "full-monster"},
         measured=measured,
         predicted=predicted,
-        verdict="pass" if measured == predicted else "fail",
+        verdict=verdict(measured, predicted),
         wall_time_ms=_elapsed_ms(t0),
+        note=note,
     )
 
 
@@ -87,17 +72,7 @@ def witness_report(
     n2: int,
     cap_states: int = DEFAULT_STATE_CAP,
 ) -> ExperimentReport:
-    report = verify_witness(n1, n2, cap_states=cap_states)
-    parameters = dict(report.parameters)
-    return ExperimentReport(
-        command="sc",
-        parameters=parameters,
-        measured=report.measured,
-        predicted=report.predicted,
-        verdict=report.verdict,
-        wall_time_ms=report.wall_time_ms,
-        note=report.note,
-    )
+    return replace(verify_witness(n1, n2, cap_states=cap_states), command="sc")
 
 
 def sc_reports(
@@ -127,13 +102,13 @@ def sc_reports(
         name = r.parameters["method"]
         values[name] = r.predicted if name == "formula" else r.measured
     if any(v is None for v in values.values()):
-        verdict = "skipped"
+        outcome = "skipped"
         note = "a construction was skipped; no three-way comparison"
     elif len(set(values.values())) == 1:
-        verdict = "pass"
+        outcome = "pass"
         note = ""
     else:
-        verdict = "fail"
+        outcome = "fail"
         note = "methods disagree: " + ", ".join(f"{k}={v}" for k, v in values.items())
     reports.append(
         ExperimentReport(
@@ -141,7 +116,7 @@ def sc_reports(
             parameters={"n1": n1, "n2": n2, "method": "all"},
             measured=values,
             predicted=values.get("formula"),
-            verdict=verdict,
+            verdict=outcome,
             wall_time_ms=_elapsed_ms(t0),
             note=note,
         )
@@ -159,22 +134,15 @@ def _subsets(n: int) -> list[tuple[int, ...]]:
 
 def _sweep_one(args: tuple) -> dict[str, Any]:
     n1, n2, f1, f2, cap_states, cap_letters = args
-    measured: int | None
+    measured, _ = measure_stx(
+        lambda: monster2(MonsterSpec.pair(n1, n2, f1, f2), cap_letters=cap_letters),
+        cap_states,
+    )
     predicted: int | None
-    try:
-        spec = MonsterSpec.pair(n1, n2, f1, f2)
-        first, second = monster2(spec, cap_letters=cap_letters)
-        measured = minimize(stx(first, second, cap_states=cap_states)).state_count
-    except LimitExceeded:
-        measured = None
     try:
         predicted = count_constrained(final_zone(n1, n2, f1, f2))
     except LimitExceeded:
         predicted = None
-    if measured is None or predicted is None:
-        verdict = "skipped"
-    else:
-        verdict = "pass" if measured <= predicted else "fail"
     return {
         "n1": n1,
         "n2": n2,
@@ -182,7 +150,7 @@ def _sweep_one(args: tuple) -> dict[str, Any]:
         "F2": f2,
         "measured": measured,
         "predicted": predicted,
-        "verdict": verdict,
+        "verdict": verdict(measured, predicted, at_most=True),
     }
 
 

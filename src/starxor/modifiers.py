@@ -1,4 +1,4 @@
-"""Star and xor constructions, and the star-of-xor applied in one pass.
+"""Star and xor constructions, and the star of the xor product.
 
 Each construction reads only the operands' state configurations and, letter by
 letter, the transformations the letter induces. Nothing else about the operand
@@ -165,82 +165,15 @@ def stx(
     full: bool = False,
     cap_states: int = DEFAULT_STATE_CAP,
 ) -> SubsetDfa:
-    """Star of the symmetric difference, built directly on grid subsets.
+    """Star of the symmetric difference: star_modifier(xor_modifier(a, b)).
 
-    States are subsets of the n1 x n2 pair grid (bit x*n2+y), the finals of
-    the underlying product being the pairs where exactly one side is final.
-    The transition rule is the star rule over the product action: the empty
-    set moves to the image of the seed pair (initial, initial), any other
-    subset to its cellwise image, and the seed pair joins whenever the image
-    meets the product finals. This builds the same table as
-    star_modifier(xor_modifier(a, b)) without materializing the product.
+    States are subsets of the n1 x n2 pair grid (bit x*n2+y is the pair
+    (x, y)); the zone of product finals is the pairs where exactly one side is
+    final, and the seed pair (initial, initial) plays the star's initial
+    state. The n1*n2-state product is built in full first, which costs little
+    next to the subset construction; full and cap_states go to star_modifier.
     """
-    if a.letter_count != b.letter_count:
-        raise ValueError("star-of-xor needs operands over a common alphabet")
-    n1, n2 = a.state_count, b.state_count
-    cells = n1 * n2
-    zone = 0
-    for x in range(n1):
-        for y in range(n2):
-            if (x in a.finals) != (y in b.finals):
-                zone |= 1 << (x * n2 + y)
-    seed = a.initial * n2 + b.initial
-    seed_bit = 1 << seed
-    cell_maps = [
-        tuple(
-            a.delta[x][j] * n2 + b.delta[y][j]
-            for x in range(n1)
-            for y in range(n2)
-        )
-        for j in range(a.letter_count)
-    ]
-    tables = [_byte_tables(cm) for cm in cell_maps]
-    empty_row_image = [1 << cm[seed] for cm in cell_maps]
-
-    def step(mask: int, j: int) -> int:
-        img = empty_row_image[j] if mask == 0 else _image(mask, tables[j])
-        return img | seed_bit if img & zone else img
-
-    if full:
-        if (1 << cells) > cap_states:
-            raise LimitExceeded(f"2^{cells} subset states exceed the cap of {cap_states}")
-        masks = list(range(1 << cells))
-        delta = tuple(
-            tuple(step(mask, j) for j in range(a.letter_count))
-            for mask in masks
-        )
-    else:
-        index = {0: 0}
-        masks = [0]
-        rows = []
-        pos = 0
-        while pos < len(masks):
-            mask = masks[pos]
-            pos += 1
-            row = []
-            for j in range(a.letter_count):
-                nxt = step(mask, j)
-                if nxt not in index:
-                    if len(masks) >= cap_states:
-                        raise LimitExceeded(f"subset states exceed the cap of {cap_states}")
-                    index[nxt] = len(masks)
-                    masks.append(nxt)
-                row.append(index[nxt])
-            rows.append(tuple(row))
-        delta = tuple(rows)
-    labels = a.letter_labels if a.letter_labels is not None else b.letter_labels
-    finals = frozenset(
-        q for q, mask in enumerate(masks) if mask == 0 or mask & zone
-    )
-    return SubsetDfa(
-        a.letter_count,
-        len(masks),
-        0,
-        finals,
-        delta,
-        labels,
-        tuple(masks),
-    )
+    return star_modifier(xor_modifier(a, b), full=full, cap_states=cap_states)
 
 
 def check_1_uniformity(

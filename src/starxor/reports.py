@@ -1,10 +1,16 @@
-"""Experiment reports shared by the library entry points and the CLI."""
+"""Experiment reports shared by the library entry points and the CLI.
+
+Also the one measurement path and the one verdict rule behind every size check.
+"""
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Callable
+
+from .automata import Dfa, minimize
+from .modifiers import stx
+from .transforms import LimitExceeded
 
 VERDICTS = ("pass", "fail", "skipped")
 
@@ -42,9 +48,6 @@ class ExperimentReport:
             out["note"] = self.note
         return out
 
-    def to_json(self) -> str:
-        return json.dumps(self.as_dict(), indent=2)
-
     def flat_dict(self) -> dict[str, Any]:
         """Flat single-construction shape: sizes, method, both numbers, equality."""
         p = self.parameters
@@ -72,3 +75,32 @@ class ExperimentReport:
         if self.note:
             bits.append(f"note: {self.note}")
         return " ".join(str(b) for b in bits)
+
+
+def measure_stx(
+    build_pair: Callable[[], tuple[Dfa, Dfa]],
+    cap_states: int,
+) -> tuple[int | None, str]:
+    """Minimal star-of-xor size of the operand pair build_pair() returns.
+
+    A cap hit while building the operands or the subset automaton gives
+    (None, the cap's message) instead; otherwise the note is empty.
+    """
+    try:
+        first, second = build_pair()
+        return minimize(stx(first, second, cap_states=cap_states)).state_count, ""
+    except LimitExceeded as exc:
+        return None, str(exc)
+
+
+def verdict(measured: int | None, predicted: int | None, at_most: bool = False) -> str:
+    """pass, fail or skipped for a measured size against its prediction.
+
+    skipped when either number is missing because a cap fired; otherwise pass
+    when the two are equal or, with at_most, when measured does not exceed
+    predicted.
+    """
+    if measured is None or predicted is None:
+        return "skipped"
+    holds = measured <= predicted if at_most else measured == predicted
+    return "pass" if holds else "fail"

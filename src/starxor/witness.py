@@ -5,12 +5,12 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from .automata import Dfa, minimize
-from .modifiers import DEFAULT_STATE_CAP, stx
+from .automata import Dfa
+from .modifiers import DEFAULT_STATE_CAP
 from .monsters import PairLetter
-from .reports import ExperimentReport
+from .reports import ExperimentReport, measure_stx, verdict
 from .tableaux import predicted_complexity
-from .transforms import LimitExceeded, cycle, identity, point_map
+from .transforms import cycle, identity, point_map
 
 
 @dataclass(frozen=True)
@@ -89,25 +89,13 @@ def verify_witness(
     """Build the witness star-of-xor, minimize, compare with the prediction."""
     t0 = time.perf_counter()
     predicted = predicted_complexity(n1, n2)
-    parameters = {"n1": n1, "n2": n2, "method": "witness"}
-    try:
-        first, second = witness_pair(n1, n2)
-        measured = minimize(stx(first, second, cap_states=cap_states)).state_count
-    except LimitExceeded as exc:
-        return ExperimentReport(
-            command="verify-witness",
-            parameters=parameters,
-            measured=None,
-            predicted=predicted,
-            verdict="skipped",
-            wall_time_ms=(time.perf_counter() - t0) * 1000,
-            note=str(exc),
-        )
+    measured, note = measure_stx(lambda: witness_pair(n1, n2), cap_states)
     return ExperimentReport(
         command="verify-witness",
-        parameters=parameters,
+        parameters={"n1": n1, "n2": n2, "method": "witness"},
         measured=measured,
         predicted=predicted,
-        verdict="pass" if measured == predicted else "fail",
+        verdict=verdict(measured, predicted),
         wall_time_ms=(time.perf_counter() - t0) * 1000,
+        note=note,
     )

@@ -140,6 +140,28 @@ def star_of_xor_size(a: Dfa, b: Dfa) -> int:
     return distinguishable_classes(Dfa(a.letter_count, len(order), 0, finals, tuple(rows)))
 
 
+def count_rtf_exhaustive(x: int, y: int, pinned: bool) -> int:
+    """Right-triangle-free tableaux on an x by y grid, by trying all 2^(x*y) masks.
+
+    The reference for the library's closed-form counts. A tableau is
+    right-triangle free when its nonempty rows are pairwise equal or disjoint;
+    pinned counts only tableaux holding the corner cell (0, 0).
+    """
+    width = (1 << y) - 1
+    count = 0
+    for mask in range(1 << (x * y)):
+        if pinned and not mask & 1:
+            continue
+        rows = [mask >> (i * y) & width for i in range(x)]
+        if all(
+            not r or not s or r == s or not r & s
+            for i, r in enumerate(rows)
+            for s in rows[i + 1:]
+        ):
+            count += 1
+    return count
+
+
 def star_membership(a: Dfa, word: tuple[int, ...]) -> bool:
     """Does the word split into factors of L(a)? Prefix dynamic programming."""
     k = len(word)

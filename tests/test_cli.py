@@ -129,3 +129,27 @@ def test_export_rejects_bad_combinations(tmp_path, capsys):
 def test_export_rejects_unknown_artifact(tmp_path):
     with pytest.raises(SystemExit):
         main(["export", "--what", "nonsense", "--format", "dot", "--out", str(tmp_path / "x")])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sc", "--n1", "1", "--n2", "1"],
+        ["sc", "--n1", "0", "--n2", "2", "--method", "formula"],
+        ["sweep-finals", "--n1", "0", "--n2", "2"],
+        ["sweep-finals", "--n1", "2", "--n2", "2", "--jobs", "0"],
+        ["sc", "--n1", "2", "--n2", "2", "--report", "{missing}/r.json"],
+        ["sweep-finals", "--n1", "2", "--n2", "2", "--csv", "{missing}/rows.csv"],
+        ["export", "--what", "alpha-table", "--format", "csv", "--out", "{missing}/x.csv"],
+    ],
+    ids=["witness-size", "zero-size", "sweep-zero-size", "jobs", "report-dir", "csv-dir", "out-dir"],
+)
+def test_usage_errors_exit_2_before_any_work(argv, tmp_path, capsys):
+    missing = tmp_path / "missing"
+    code = main([a.format(missing=missing) for a in argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith(f"{argv[0]} error: ")
+    assert not missing.exists()

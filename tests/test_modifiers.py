@@ -1,4 +1,4 @@
-"""Star, xor, and the one-pass star-of-xor subset construction."""
+"""Star, xor, and star-of-xor as the star of the xor product."""
 
 import itertools
 import random

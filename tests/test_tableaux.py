@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import helpers
 from starxor import (
     LimitExceeded,
     MonsterSpec,
@@ -23,11 +24,7 @@ from starxor import (
     saturate,
     stx,
 )
-from starxor.tableaux import (
-    _count_exhaustive,
-    _count_profile,
-    cell_bit,
-)
+from starxor.tableaux import _count_profile, cell_bit
 
 
 @st.composite
@@ -147,6 +144,8 @@ def test_saturation_preserves_zone_freedom_and_the_corner():
 
 
 def test_count_values_from_exhaustive_enumeration():
+    # small values, each checkable by hand enumeration; the library computes
+    # them with the closed form
     assert count_rtf(0, 0) == 1
     assert count_rtf(1, 1) == 2
     assert count_rtf(1, 2) == 4
@@ -162,17 +161,17 @@ def test_count_values_from_exhaustive_enumeration():
 def test_counting_paths_agree_on_the_overlap():
     for x in range(5):
         for y in range(5):
-            assert _count_exhaustive(x, y, False) == _count_profile(x, y, False), (x, y)
-            assert _count_exhaustive(x, y, True) == _count_profile(x, y, True), (x, y)
+            assert helpers.count_rtf_exhaustive(x, y, False) == _count_profile(x, y, False), (x, y)
+            assert helpers.count_rtf_exhaustive(x, y, True) == _count_profile(x, y, True), (x, y)
     for x, y in [(5, 3), (3, 5), (1, 12), (2, 9)]:
-        assert _count_exhaustive(x, y, False) == _count_profile(x, y, False), (x, y)
-        assert _count_exhaustive(x, y, True) == _count_profile(x, y, True), (x, y)
+        assert helpers.count_rtf_exhaustive(x, y, False) == _count_profile(x, y, False), (x, y)
+        assert helpers.count_rtf_exhaustive(x, y, True) == _count_profile(x, y, True), (x, y)
 
 
 def test_counts_beyond_the_budget():
     # 5 x 5 and 6 x 4 are over the exhaustive budget; frozen values come from
-    # the block-profile formula, whose agreement with enumeration is pinned
-    # on eleven in-budget shapes above
+    # the block-profile formula, whose agreement with the enumeration oracle
+    # is pinned on the in-budget shapes above
     assert count_rtf(5, 5) == 48032
     assert count_rtf_pinned(5, 5) == 11731
     assert count_rtf(6, 4) == 40356
@@ -180,8 +179,9 @@ def test_counts_beyond_the_budget():
 
 
 def test_budget_boundary_stays_exhaustive():
-    # 2 x 10 sits exactly on the cell budget, so this compares a million-mask
-    # enumeration against the closed formula
+    # 2 x 10 sits exactly on the exhaustive cell budget, so this compares the
+    # million-mask enumeration oracle against the closed formula
+    assert helpers.count_rtf_exhaustive(2, 10, False) == 60072
     assert count_rtf(2, 10) == 60072
     assert _count_profile(2, 10, False) == 60072
 
