@@ -10,25 +10,27 @@ from typing import Iterable, Sequence
 import numpy as np
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dfa:
     """Complete DFA with states range(state_count) and letters range(letter_count).
 
-    delta is the dense row-major table: delta[q][j] is the successor of state q
-    on letter j. letter_labels, when present, name the letters for rendering
-    and carry no semantics.
+    delta is the dense row-major table, a read-only (state_count, letter_count)
+    int32 array: delta[q, j] is the successor of state q on letter j. Any
+    integer array-like of that shape is accepted; an int32 ndarray is used
+    without a copy, so do not write to it afterwards. letter_labels, when
+    present, name the letters for rendering and carry no semantics. Equality
+    is by value, table included.
     """
 
     letter_count: int
     state_count: int
     initial: int
     finals: frozenset[int]
-    delta: tuple[tuple[int, ...], ...]
+    delta: np.ndarray
     letter_labels: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "finals", frozenset(self.finals))
-        object.__setattr__(self, "delta", tuple(tuple(row) for row in self.delta))
         if self.letter_labels is not None:
             object.__setattr__(self, "letter_labels", tuple(self.letter_labels))
         if self.state_count < 1:
@@ -37,17 +39,33 @@ class Dfa:
             raise ValueError("letter_count must be nonnegative")
         if not 0 <= self.initial < self.state_count:
             raise ValueError(f"initial state {self.initial} out of range")
-        if any(not 0 <= q < self.state_count for q in self.finals):
+        if self.finals and not 0 <= min(self.finals) <= max(self.finals) < self.state_count:
             raise ValueError("final state out of range")
-        if len(self.delta) != self.state_count:
-            raise ValueError(f"delta has {len(self.delta)} rows, expected {self.state_count}")
-        for q, row in enumerate(self.delta):
-            if len(row) != self.letter_count:
-                raise ValueError(f"delta row {q} has {len(row)} entries, expected {self.letter_count}")
-            if any(not 0 <= t < self.state_count for t in row):
-                raise ValueError(f"delta row {q} targets a state out of range")
+        raw = np.asarray(self.delta)
+        shape = (self.state_count, self.letter_count)
+        if raw.shape != shape:
+            raise ValueError(f"delta has shape {raw.shape}, expected {shape}")
+        if raw.size:
+            if raw.dtype.kind not in "iu":
+                raise ValueError("delta entries must be integers")
+            if raw.min() < 0 or raw.max() >= self.state_count:
+                raise ValueError("delta targets a state out of range")
+        delta = raw.astype(np.int32, copy=False).view()
+        delta.flags.writeable = False
+        object.__setattr__(self, "delta", delta)
         if self.letter_labels is not None and len(self.letter_labels) != self.letter_count:
             raise ValueError("letter_labels length must match letter_count")
+
+    def _key(self) -> tuple:
+        return (self.letter_count, self.state_count, self.initial, self.finals, self.letter_labels)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key() and np.array_equal(self.delta, other.delta)
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
 
 @dataclass(frozen=True)
@@ -68,63 +86,110 @@ class NerodePartition:
         return tuple(frozenset(b) for b in out)
 
 
+def finals_array(a: Dfa) -> np.ndarray:
+    """a's final states as an index array, in no particular order."""
+    return np.fromiter(a.finals, dtype=np.intp, count=len(a.finals))
+
+
+# Frontier rows gathered per step of a breadth-first pass, as a bound on the
+# entries (rows x letters) a step allocates.
+BLOCK_ENTRIES = 2**20
+
+
+def block_rows(letter_count: int) -> int:
+    """Rows per frontier block: at least one, at most BLOCK_ENTRIES entries' worth."""
+    return max(1, BLOCK_ENTRIES // max(1, letter_count))
+
+
+def unique_first(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """np.unique(values, return_index=True, return_inverse=True) for a 1-D array.
+
+    The same three arrays (sorted distinct entries, the index of each one's
+    first occurrence, and the inverse), but from an unstable sort: the first
+    occurrence is the least index in each run of equal sorted entries.
+    """
+    perm = np.argsort(values)
+    ranked = values[perm]
+    starts = np.empty(len(values), dtype=bool)
+    starts[:1] = True
+    np.not_equal(ranked[1:], ranked[:-1], out=starts[1:])
+    inverse = np.empty(len(values), dtype=np.intp)
+    inverse[perm] = np.cumsum(starts) - 1
+    starts = np.flatnonzero(starts)
+    first = np.minimum.reduceat(perm, starts) if len(starts) else starts
+    return ranked[starts], first, inverse
+
+
 def accessible_part(a: Dfa) -> tuple[Dfa, tuple[int, ...]]:
     """Restriction to states reachable from the initial one, plus the remap.
 
     Returns (b, kept) where kept[new] is the old index of b's state new.
-    States come out in breadth-first discovery order, letters in index order.
+    States come out in breadth-first discovery order, letters in index order:
+    each frontier block's successors are numbered by first occurrence in
+    (state, letter) order.
     """
-    seen = {a.initial: 0}
-    order = [a.initial]
-    i = 0
-    while i < len(order):
-        q = order[i]
-        i += 1
-        for t in a.delta[q]:
-            if t not in seen:
-                seen[t] = len(order)
-                order.append(t)
-    delta = tuple(
-        tuple(seen[t] for t in a.delta[q])
-        for q in order
-    )
-    finals = frozenset(seen[q] for q in a.finals if q in seen)
-    b = Dfa(a.letter_count, len(order), 0, finals, delta, a.letter_labels)
-    return b, tuple(order)
-
-
-def _renumber_first_occurrence(raw: Iterable[int]) -> tuple[tuple[int, ...], int]:
-    mapping: dict[int, int] = {}
-    out = []
-    for c in raw:
-        if c not in mapping:
-            mapping[c] = len(mapping)
-        out.append(mapping[c])
-    return tuple(out), len(mapping)
+    new_id = np.full(a.state_count, -1, dtype=np.int32)
+    new_id[a.initial] = 0
+    order = np.empty(a.state_count, dtype=np.int32)
+    order[0] = a.initial
+    count, pos = 1, 0
+    step = block_rows(a.letter_count)
+    while pos < count:
+        targets = a.delta[order[pos:min(count, pos + step)]].reshape(-1)
+        unseen, first, _ = unique_first(targets[new_id[targets] < 0])
+        fresh = unseen[np.argsort(first)]
+        new_id[fresh] = np.arange(count, count + len(fresh), dtype=np.int32)
+        order[count:count + len(fresh)] = fresh
+        pos = min(count, pos + step)
+        count += len(fresh)
+    order = order[:count]
+    if count == a.state_count and (order == np.arange(count)).all():
+        # already accessible and numbered breadth first: share the table
+        b = Dfa(a.letter_count, count, 0, a.finals, a.delta, a.letter_labels)
+    else:
+        finals = new_id[finals_array(a)]
+        finals = frozenset(finals[finals >= 0].tolist())
+        b = Dfa(a.letter_count, count, 0, finals, new_id[a.delta[order]], a.letter_labels)
+    return b, tuple(order.tolist())
 
 
 def nerode_partition(a: Dfa) -> NerodePartition:
     """Language-equivalence classes of the states, by iterated signature refinement.
 
     Meaningful as the Nerode partition when a is accessible; minimize() takes
-    care of that. Refinement rounds run on integer matrices via numpy.
+    care of that. Each round sorts the states once by their signature (own
+    colour, then the colour of each successor) with np.lexsort, and a class
+    break falls wherever two adjacent sorted signatures differ.
     """
     n, width = a.state_count, a.letter_count
-    delta = np.asarray(a.delta, dtype=np.int64).reshape(n, width)
-    color = np.zeros(n, dtype=np.int64)
-    for q in a.finals:
-        color[q] = 1
+    successors = np.ascontiguousarray(a.delta.T)
+    color = np.zeros(n, dtype=np.int32)
+    color[finals_array(a)] = 1
     count = 2 if 0 < len(a.finals) < n else 1
+    # rows 0..width-1 are the successors' colours, row width the own colour;
+    # lexsort takes its last row as the primary key
+    sig = np.empty((width + 1, n), dtype=np.int32)
+    breaks = np.empty(max(n - 1, 0), dtype=bool)
     while True:
-        sig = np.empty((n, width + 1), dtype=np.int64)
-        sig[:, 0] = color
-        sig[:, 1:] = color[delta]
-        _, inverse = np.unique(sig, axis=0, return_inverse=True)
-        new_count = int(inverse.max()) + 1
+        # row by row, so that no (width, n) index or gather temporary is made
+        for j in range(width):
+            np.take(color, successors[j], out=sig[j], mode="clip")
+        sig[width] = color
+        order = np.lexsort(sig)
+        breaks[:] = False
+        for key in sig:
+            ranked = key[order]
+            breaks |= ranked[1:] != ranked[:-1]
+        new_count = int(breaks.sum()) + 1
         if new_count == count:
-            class_of, k = _renumber_first_occurrence(inverse.tolist())
-            return NerodePartition(class_of, k)
-        color = inverse
+            # renumber the classes by first occurrence in state order
+            _, first, inverse = unique_first(color)
+            rank = np.empty(count, dtype=np.int32)
+            rank[np.argsort(first)] = np.arange(count, dtype=np.int32)
+            return NerodePartition(tuple(rank[inverse].tolist()), count)
+        color = np.empty(n, dtype=np.int32)
+        color[order[0]] = 0
+        color[order[1:]] = np.cumsum(breaks, dtype=np.int32)
         count = new_count
 
 
@@ -134,22 +199,16 @@ def minimize(a: Dfa) -> Dfa:
     part = nerode_partition(acc)
     if part.class_count == acc.state_count:
         return acc
-    reps: list[int] = [-1] * part.class_count
-    for q in range(acc.state_count):
-        c = part.class_of[q]
-        if reps[c] < 0:
-            reps[c] = q
-    delta = tuple(
-        tuple(part.class_of[acc.delta[reps[c]][j]] for j in range(acc.letter_count))
-        for c in range(part.class_count)
-    )
-    finals = frozenset(part.class_of[q] for q in acc.finals)
+    class_of = np.asarray(part.class_of, dtype=np.int32)
+    # classes are numbered by first occurrence, so each one's first state
+    # represents it
+    _, reps = np.unique(class_of, return_index=True)
     return Dfa(
         acc.letter_count,
         part.class_count,
         part.class_of[acc.initial],
-        finals,
-        delta,
+        frozenset(class_of[finals_array(acc)].tolist()),
+        class_of[acc.delta[reps]],
         acc.letter_labels,
     )
 
@@ -158,6 +217,7 @@ def is_equivalent(a: Dfa, b: Dfa) -> bool:
     """Language equality over a shared alphabet, by product exploration."""
     if a.letter_count != b.letter_count:
         raise ValueError("language comparison needs a common alphabet")
+    delta_a, delta_b = a.delta.tolist(), b.delta.tolist()
     start = (a.initial, b.initial)
     seen = {start}
     queue = deque([start])
@@ -166,7 +226,7 @@ def is_equivalent(a: Dfa, b: Dfa) -> bool:
         if (p in a.finals) != (q in b.finals):
             return False
         for j in range(a.letter_count):
-            nxt = (a.delta[p][j], b.delta[q][j])
+            nxt = (delta_a[p][j], delta_b[q][j])
             if nxt not in seen:
                 seen.add(nxt)
                 queue.append(nxt)
@@ -179,7 +239,7 @@ def run(a: Dfa, word: Iterable[int]) -> int:
     for j in word:
         if not 0 <= j < a.letter_count:
             raise ValueError(f"letter {j} out of range")
-        q = a.delta[q][j]
+        q = a.delta.item(q, j)
     return q
 
 
@@ -201,9 +261,9 @@ def preimage_by_renaming(
     phi = tuple(phi)
     if any(not 0 <= p < a.letter_count for p in phi):
         raise ValueError("renaming targets a letter out of range")
-    delta = tuple(tuple(row[p] for p in phi) for row in a.delta)
     labels = tuple(letter_labels) if letter_labels is not None else None
-    return Dfa(len(phi), a.state_count, a.initial, a.finals, delta, labels)
+    columns = np.asarray(phi, dtype=np.intp)
+    return Dfa(len(phi), a.state_count, a.initial, a.finals, a.delta[:, columns], labels)
 
 
 def _letter_name(a: Dfa, j: int) -> str:
@@ -219,10 +279,10 @@ def export_dot(a: Dfa) -> str:
         shape = "doublecircle" if q in a.finals else "circle"
         lines.append(f'  q{q} [shape={shape}, label="{q}"];')
     lines.append(f"  __init -> q{a.initial};")
-    for q in range(a.state_count):
+    for q, row in enumerate(a.delta.tolist()):
         targets: dict[int, list[int]] = {}
-        for j in range(a.letter_count):
-            targets.setdefault(a.delta[q][j], []).append(j)
+        for j, t in enumerate(row):
+            targets.setdefault(t, []).append(j)
         for t in sorted(targets):
             label = ",".join(_letter_name(a, j) for j in targets[t])
             label = label.replace("\\", "\\\\").replace('"', '\\"')
@@ -238,7 +298,7 @@ def export_json(a: Dfa) -> str:
         "state_count": a.state_count,
         "initial": a.initial,
         "finals": sorted(a.finals),
-        "delta": [list(row) for row in a.delta],
+        "delta": a.delta.tolist(),
     }
     if a.letter_labels is not None:
         obj["letter_labels"] = list(a.letter_labels)
@@ -259,6 +319,6 @@ def import_json(text: str) -> Dfa:
         obj["state_count"],
         obj["initial"],
         frozenset(obj["finals"]),
-        tuple(tuple(row) for row in obj["delta"]),
+        obj["delta"],
         tuple(labels) if labels is not None else None,
     )

@@ -299,8 +299,9 @@ def figure_reports() -> list[ExperimentReport]:
         built = _build_reference(name)
         expected = _EXPECTED_TABLES[name]
         problems = []
-        if built.delta != expected["delta"]:
-            problems.append(f"delta differs: {built.delta} vs {expected['delta']}")
+        delta = tuple(map(tuple, built.delta.tolist()))
+        if delta != expected["delta"]:
+            problems.append(f"delta differs: {delta} vs {expected['delta']}")
         if built.finals != expected["finals"]:
             problems.append(f"finals differ: {sorted(built.finals)} vs {sorted(expected['finals'])}")
         if built.initial != expected["initial"]:

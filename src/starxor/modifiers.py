@@ -8,60 +8,89 @@ renamings by design.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
-from .automata import Dfa, is_equivalent, preimage_by_renaming
+import numpy as np
+
+from .automata import (
+    Dfa,
+    block_rows,
+    finals_array,
+    is_equivalent,
+    preimage_by_renaming,
+    unique_first,
+)
 from .transforms import LimitExceeded
 
 DEFAULT_STATE_CAP = 2**22
+# Table entries (subset states x letters): 512 MB as int32.
+DEFAULT_TRANSITION_CAP = 2**27
+# Subset masks are int64, so bit 62 is the highest an operand state can use.
+MAX_OPERAND_STATES = 63
+# Bound on the entries of the per-letter subset-image lookup tables.
+TABLE_ENTRIES = 2**22
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SubsetDfa(Dfa):
     """DFA whose states stand for subsets of an underlying state set.
 
-    state_masks[q] is the bitmask of the subset state q stands for; bit i is
-    underlying state i (for products, bit x*n2+y is the pair (x, y)).
+    state_masks is a read-only int64 array: state_masks[q] is the bitmask of
+    the subset state q stands for; bit i is underlying state i (for products,
+    bit x*n2+y is the pair (x, y)).
     """
 
-    state_masks: tuple[int, ...] = ()
+    state_masks: np.ndarray = field(kw_only=True)
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        masks = np.asarray(self.state_masks, dtype=np.int64).view()
+        if masks.shape != (self.state_count,):
+            raise ValueError(f"state_masks has shape {masks.shape}, expected ({self.state_count},)")
+        masks.flags.writeable = False
+        object.__setattr__(self, "state_masks", masks)
+
+    def __eq__(self, other: object) -> bool:
+        same = super().__eq__(other)
+        if same is not True:
+            return same
+        return np.array_equal(self.state_masks, other.state_masks)
+
+    __hash__ = Dfa.__hash__
 
     def mask_of(self, q: int) -> int:
-        return self.state_masks[q]
+        return self.state_masks.item(q)
 
 
-@lru_cache(maxsize=None)
-def _byte_tables(images: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    # images describes a map on bit positions; table c maps any byte of bits
-    # in chunk c (positions 8c..8c+7) to the OR of their image bits.
-    n = len(images)
-    tables = []
-    for base in range(0, n, 8):
-        width = min(8, n - base)
-        table = [0] * 256
-        for byte in range(1, 1 << width):
-            low = (byte & -byte).bit_length() - 1
-            table[byte] = table[byte & (byte - 1)] | (1 << images[base + low])
-        tables.append(tuple(table))
-    return tuple(tables)
+def _image_tables(delta: np.ndarray) -> tuple[np.ndarray, int]:
+    """Per-letter lookup tables for subset images, and the chunk width in bits.
 
-
-def _image(mask: int, tables: tuple[tuple[int, ...], ...]) -> int:
-    out = 0
-    c = 0
-    while mask:
-        out |= tables[c][mask & 255]
-        mask >>= 8
-        c += 1
-    return out
+    delta[i, j] is letter j's image of state i. A mask is read in chunks of
+    width bits; tables[c, v, j] is the image under letter j of the states that
+    the chunk value v stands for in chunk c. The width is 8 (byte tables) when
+    the tables fit in TABLE_ENTRIES, narrower on very wide alphabets.
+    """
+    n, letters = delta.shape
+    width = next(
+        w for w in (8, 4, 2, 1)
+        if w == 1 or -(-n // w) * letters << w <= TABLE_ENTRIES
+    )
+    chunks = -(-n // width)
+    bits = np.zeros((chunks * width, letters), dtype=np.int64)
+    bits[:n] = np.left_shift(np.int64(1), delta.astype(np.int64))
+    tables = np.zeros((chunks, 1 << width, letters), dtype=np.int64)
+    for b in range(width):
+        low = 1 << b
+        tables[:, low:2 * low] = tables[:, :low] | bits[b::width, None, :]
+    return tables, width
 
 
 def star_modifier(
     a: Dfa,
     full: bool = False,
     cap_states: int = DEFAULT_STATE_CAP,
+    cap_transitions: int = DEFAULT_TRANSITION_CAP,
 ) -> SubsetDfa:
     """Subset construction recognizing L(a)*.
 
@@ -69,63 +98,91 @@ def star_modifier(
     nonempty E is final when it meets a's finals. On letter j with action f:
     the empty set moves to {f(i)}, any other E to f(E), and in either case the
     initial state i joins the successor exactly when the image meets a's
-    finals. By default only the forward closure of the empty set is built;
-    full=True materializes all 2^n subsets with state index equal to bitmask.
+    finals. By default only the forward closure of the empty set is built,
+    breadth first, states numbered by first occurrence in (state, letter)
+    order; full=True materializes all 2^n subsets with state index equal to
+    bitmask.
+
+    The frontier is expanded a block of rows at a time, every letter at once.
+    Before each block, LimitExceeded is raised if the known subset states
+    exceed cap_states or, times the letter count, cap_transitions; it is raised
+    up front if a has more than MAX_OPERAND_STATES states.
     """
-    n = a.state_count
-    fmask = 0
-    for q in a.finals:
-        fmask |= 1 << q
+    n, letters = a.state_count, a.letter_count
+    if n > MAX_OPERAND_STATES:
+        raise LimitExceeded(
+            f"{n} operand states exceed the limit of {MAX_OPERAND_STATES} for int64 subset masks"
+        )
+    fmask = sum(1 << q for q in a.finals)
     ibit = 1 << a.initial
-    columns = [
-        tuple(a.delta[q][j] for q in range(n))
-        for j in range(a.letter_count)
-    ]
-    tables = [_byte_tables(col) for col in columns]
-    empty_row_image = [1 << col[a.initial] for col in columns]
+    tables, width = _image_tables(a.delta)
+    empty_row_image = np.left_shift(np.int64(1), a.delta[a.initial].astype(np.int64))
+    chunk = (1 << width) - 1
 
-    def step(mask: int, j: int) -> int:
-        img = empty_row_image[j] if mask == 0 else _image(mask, tables[j])
-        return img | ibit if img & fmask else img
+    def images(masks: np.ndarray) -> np.ndarray:
+        out = np.zeros((len(masks), letters), dtype=np.int64)
+        for c in range(len(tables)):
+            out |= tables[c][(masks >> (width * c)) & chunk]
+        out[masks == 0] = empty_row_image
+        out[(out & fmask) != 0] |= ibit
+        return out
 
+    def check_caps(count: int) -> None:
+        if count > cap_states:
+            raise LimitExceeded(f"subset states exceed the cap of {cap_states}")
+        if count * letters > cap_transitions:
+            raise LimitExceeded(
+                f"{count} subset states x {letters} letters exceed the cap of "
+                f"{cap_transitions} transitions"
+            )
+
+    step = block_rows(letters)
     if full:
         if (1 << n) > cap_states:
             raise LimitExceeded(f"2^{n} subset states exceed the cap of {cap_states}")
-        masks = list(range(1 << n))
-        delta = tuple(
-            tuple(step(mask, j) for j in range(a.letter_count))
-            for mask in masks
-        )
+        check_caps(1 << n)
+        masks = np.arange(1 << n, dtype=np.int64)
+        rows = [
+            images(masks[lo:lo + step]).astype(np.int32)
+            for lo in range(0, len(masks), step)
+        ]
     else:
-        index = {0: 0}
-        masks = [0]
+        # known holds every mask found so far, sorted, and known_id its state
+        known = np.zeros(1, dtype=np.int64)
+        known_id = np.zeros(1, dtype=np.int32)
+        found = [known]
+        pending = known
+        count = 1
         rows = []
-        pos = 0
-        while pos < len(masks):
-            mask = masks[pos]
-            pos += 1
-            row = []
-            for j in range(a.letter_count):
-                nxt = step(mask, j)
-                if nxt not in index:
-                    if len(masks) >= cap_states:
-                        raise LimitExceeded(f"subset states exceed the cap of {cap_states}")
-                    index[nxt] = len(masks)
-                    masks.append(nxt)
-                row.append(index[nxt])
-            rows.append(tuple(row))
-        delta = tuple(rows)
-    finals = frozenset(
-        q for q, mask in enumerate(masks) if mask == 0 or mask & fmask
-    )
+        while len(pending):
+            check_caps(count)
+            parents, pending = pending[:step], pending[step:]
+            values, first, inverse = unique_first(images(parents).reshape(-1))
+            at = np.searchsorted(known, values)
+            old = known[np.minimum(at, len(known) - 1)] == values
+            ids = np.empty(len(values), dtype=np.int32)
+            ids[old] = known_id[at[old]]
+            new = np.flatnonzero(~old)
+            # new masks are numbered by first occurrence in (parent, letter) order
+            by_first = new[np.argsort(first[new])]
+            ids[by_first] = np.arange(count, count + len(new), dtype=np.int32)
+            rows.append(ids[inverse].reshape(len(parents), letters))
+            found.append(values[by_first])
+            pending = np.concatenate([pending, values[by_first]])
+            count += len(new)
+            where = np.searchsorted(known, values[new])
+            known = np.insert(known, where, values[new])
+            known_id = np.insert(known_id, where, ids[new])
+        masks = np.concatenate(found)
+    finals = np.flatnonzero((masks == 0) | ((masks & fmask) != 0))
     return SubsetDfa(
-        a.letter_count,
+        letters,
         len(masks),
         0,
-        finals,
-        delta,
+        frozenset(finals.tolist()),
+        np.concatenate(rows),
         a.letter_labels,
-        tuple(masks),
+        state_masks=masks,
     )
 
 
@@ -136,24 +193,19 @@ def xor_modifier(a: Dfa, b: Dfa) -> Dfa:
     """
     if a.letter_count != b.letter_count:
         raise ValueError("xor needs operands over a common alphabet")
-    n2 = b.state_count
-    delta = tuple(
-        tuple(a.delta[x][j] * n2 + b.delta[y][j] for j in range(a.letter_count))
-        for x in range(a.state_count)
-        for y in range(n2)
-    )
-    finals = frozenset(
-        x * n2 + y
-        for x in range(a.state_count)
-        for y in range(n2)
-        if (x in a.finals) != (y in b.finals)
-    )
+    n1, n2 = a.state_count, b.state_count
+    delta = (a.delta[:, None, :] * n2 + b.delta[None, :, :]).reshape(n1 * n2, a.letter_count)
+    first_final = np.zeros(n1, dtype=bool)
+    first_final[finals_array(a)] = True
+    second_final = np.zeros(n2, dtype=bool)
+    second_final[finals_array(b)] = True
+    zone = first_final[:, None] != second_final[None, :]
     labels = a.letter_labels if a.letter_labels is not None else b.letter_labels
     return Dfa(
         a.letter_count,
-        a.state_count * n2,
+        n1 * n2,
         a.initial * n2 + b.initial,
-        finals,
+        frozenset(np.flatnonzero(zone).tolist()),
         delta,
         labels,
     )
@@ -164,6 +216,7 @@ def stx(
     b: Dfa,
     full: bool = False,
     cap_states: int = DEFAULT_STATE_CAP,
+    cap_transitions: int = DEFAULT_TRANSITION_CAP,
 ) -> SubsetDfa:
     """Star of the symmetric difference: star_modifier(xor_modifier(a, b)).
 
@@ -171,9 +224,14 @@ def stx(
     (x, y)); the zone of product finals is the pairs where exactly one side is
     final, and the seed pair (initial, initial) plays the star's initial
     state. The n1*n2-state product is built in full first, which costs little
-    next to the subset construction; full and cap_states go to star_modifier.
+    next to the subset construction; full and the caps go to star_modifier.
     """
-    return star_modifier(xor_modifier(a, b), full=full, cap_states=cap_states)
+    return star_modifier(
+        xor_modifier(a, b),
+        full=full,
+        cap_states=cap_states,
+        cap_transitions=cap_transitions,
+    )
 
 
 def check_1_uniformity(

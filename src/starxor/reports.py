@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from .automata import Dfa, minimize
-from .modifiers import stx
+from .modifiers import DEFAULT_TRANSITION_CAP, stx
 from .transforms import LimitExceeded
 
 VERDICTS = ("pass", "fail", "skipped")
@@ -80,15 +80,18 @@ class ExperimentReport:
 def measure_stx(
     build_pair: Callable[[], tuple[Dfa, Dfa]],
     cap_states: int,
+    cap_transitions: int = DEFAULT_TRANSITION_CAP,
 ) -> tuple[int | None, str]:
     """Minimal star-of-xor size of the operand pair build_pair() returns.
 
-    A cap hit while building the operands or the subset automaton gives
-    (None, the cap's message) instead; otherwise the note is empty.
+    A cap hit while building the operands or the subset automaton (letters,
+    subset states, transitions, or the operand-size limit of subset masks)
+    gives (None, the cap's message) instead; otherwise the note is empty.
     """
     try:
         first, second = build_pair()
-        return minimize(stx(first, second, cap_states=cap_states)).state_count, ""
+        built = stx(first, second, cap_states=cap_states, cap_transitions=cap_transitions)
+        return minimize(built).state_count, ""
     except LimitExceeded as exc:
         return None, str(exc)
 

@@ -36,6 +36,11 @@ def random_dfa_over(
     return Dfa(letter_count, n, rng.randrange(n), finals, delta)
 
 
+def cycle_dfa(n: int) -> Dfa:
+    """One letter stepping state q to q+1 mod n; the last state is final."""
+    return Dfa(1, n, 0, frozenset({n - 1}), tuple(((q + 1) % n,) for q in range(n)))
+
+
 def random_renaming(
     rng: random.Random,
     letter_count: int,
@@ -54,11 +59,12 @@ def distinguishable_classes(a: Dfa) -> int:
     differing finality, propagate backwards to a fixpoint, count classes of
     reachable states.
     """
+    rows = a.delta.tolist()
     reachable = {a.initial}
     frontier = [a.initial]
     while frontier:
         q = frontier.pop()
-        for t in a.delta[q]:
+        for t in rows[q]:
             if t not in reachable:
                 reachable.add(t)
                 frontier.append(t)
@@ -76,7 +82,7 @@ def distinguishable_classes(a: Dfa) -> int:
                 if (p, q) in marked:
                     continue
                 for j in range(a.letter_count):
-                    x, y = a.delta[p][j], a.delta[q][j]
+                    x, y = rows[p][j], rows[q][j]
                     if x > y:
                         x, y = y, x
                     if x != y and (x, y) in marked:
@@ -106,6 +112,7 @@ def star_of_xor_size(a: Dfa, b: Dfa) -> int:
     """
     start = "start"
     seed = (a.initial, b.initial)
+    rows_a, rows_b = a.delta.tolist(), b.delta.tolist()
 
     def pair_final(p: tuple[int, int]) -> bool:
         return (p[0] in a.finals) != (p[1] in b.finals)
@@ -114,7 +121,7 @@ def star_of_xor_size(a: Dfa, b: Dfa) -> int:
         sources = {q for q in subset if q != start}
         if start in subset:
             sources.add(seed)
-        image = {(a.delta[x][j], b.delta[y][j]) for x, y in sources}
+        image = {(rows_a[x][j], rows_b[y][j]) for x, y in sources}
         if any(pair_final(p) for p in image):
             image.add(start)
         return frozenset(image)
@@ -138,6 +145,136 @@ def star_of_xor_size(a: Dfa, b: Dfa) -> int:
         if start in subset or any(pair_final(q) for q in subset if q != start)
     )
     return distinguishable_classes(Dfa(a.letter_count, len(order), 0, finals, tuple(rows)))
+
+
+def xor_product_reference(a: Dfa, b: Dfa) -> Dfa:
+    """The product DFA of xor_modifier, built pair by pair from the operands' rows."""
+    rows_a, rows_b = a.delta.tolist(), b.delta.tolist()
+    n2 = b.state_count
+    delta = tuple(
+        tuple(rows_a[x][j] * n2 + rows_b[y][j] for j in range(a.letter_count))
+        for x in range(a.state_count)
+        for y in range(n2)
+    )
+    finals = frozenset(
+        x * n2 + y
+        for x in range(a.state_count)
+        for y in range(n2)
+        if (x in a.finals) != (y in b.finals)
+    )
+    return Dfa(a.letter_count, a.state_count * n2, a.initial * n2 + b.initial, finals, delta)
+
+
+def _byte_tables(images: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    # images describes a map on bit positions; table c maps any byte of bits
+    # in chunk c (positions 8c..8c+7) to the OR of their image bits.
+    n = len(images)
+    tables = []
+    for base in range(0, n, 8):
+        width = min(8, n - base)
+        table = [0] * 256
+        for byte in range(1, 1 << width):
+            low = (byte & -byte).bit_length() - 1
+            table[byte] = table[byte & (byte - 1)] | (1 << images[base + low])
+        tables.append(tuple(table))
+    return tuple(tables)
+
+
+def _image(mask: int, tables: tuple[tuple[int, ...], ...]) -> int:
+    out = 0
+    c = 0
+    while mask:
+        out |= tables[c][mask & 255]
+        mask >>= 8
+        c += 1
+    return out
+
+
+def subset_bfs_reference(a: Dfa, full: bool = False):
+    """star_modifier's tables, one state and one letter at a time in pure Python.
+
+    Returns (delta, state_masks, finals, initial) as tuples and a frozenset:
+    the empty set is state 0 and every new subset is numbered when a
+    queue-driven breadth-first pass first meets it, letters in index order;
+    full=True numbers all 2^n subsets by bitmask instead.
+    """
+    rows_a = a.delta.tolist()
+    n = a.state_count
+    fmask = 0
+    for q in a.finals:
+        fmask |= 1 << q
+    ibit = 1 << a.initial
+    columns = [
+        tuple(rows_a[q][j] for q in range(n))
+        for j in range(a.letter_count)
+    ]
+    tables = [_byte_tables(col) for col in columns]
+    empty_row_image = [1 << col[a.initial] for col in columns]
+
+    def step(mask: int, j: int) -> int:
+        img = empty_row_image[j] if mask == 0 else _image(mask, tables[j])
+        return img | ibit if img & fmask else img
+
+    if full:
+        masks = list(range(1 << n))
+        delta = tuple(
+            tuple(step(mask, j) for j in range(a.letter_count))
+            for mask in masks
+        )
+    else:
+        index = {0: 0}
+        masks = [0]
+        rows = []
+        pos = 0
+        while pos < len(masks):
+            mask = masks[pos]
+            pos += 1
+            row = []
+            for j in range(a.letter_count):
+                nxt = step(mask, j)
+                if nxt not in index:
+                    index[nxt] = len(masks)
+                    masks.append(nxt)
+                row.append(index[nxt])
+            rows.append(tuple(row))
+        delta = tuple(rows)
+    finals = frozenset(
+        q for q, mask in enumerate(masks) if mask == 0 or mask & fmask
+    )
+    return delta, tuple(masks), finals, 0
+
+
+def accessible_order_reference(a: Dfa) -> tuple[int, ...]:
+    """States reachable from the initial one, in queue-driven breadth-first order."""
+    rows = a.delta.tolist()
+    seen = {a.initial}
+    order = [a.initial]
+    for q in order:
+        for t in rows[q]:
+            if t not in seen:
+                seen.add(t)
+                order.append(t)
+    return tuple(order)
+
+
+def signature_refinement(a: Dfa) -> tuple[int, ...]:
+    """Language classes of all states, by refining (colour, successor colours).
+
+    Pure-Python signature refinement from the finality split to a fixpoint;
+    classes are numbered by first occurrence in state order.
+    """
+    rows = a.delta.tolist()
+    color = [int(q in a.finals) for q in range(a.state_count)]
+    count = len(set(color))
+    while True:
+        ids: dict[tuple[int, ...], int] = {}
+        refined = [
+            ids.setdefault((color[q], *(color[t] for t in rows[q])), len(ids))
+            for q in range(a.state_count)
+        ]
+        if len(ids) == count:
+            return tuple(refined)
+        color, count = refined, len(ids)
 
 
 def count_rtf_exhaustive(x: int, y: int, pinned: bool) -> int:

@@ -3,6 +3,7 @@
 import json
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,6 +22,7 @@ from starxor import (
     preimage_by_renaming,
     run,
 )
+from starxor import automata
 
 
 @st.composite
@@ -52,13 +54,35 @@ def test_validation_catches_shape_errors():
         Dfa(1, 2, 0, frozenset(), ((0,), (1,)), ("a", "b"))
 
 
+def test_delta_is_a_read_only_int32_table():
+    a = Dfa(2, 2, 0, frozenset({1}), ((0, 1), (1, 1)))
+    assert a.delta.dtype == np.int32 and a.delta.shape == (2, 2)
+    with pytest.raises(ValueError):
+        a.delta[0, 0] = 1
+    with pytest.raises(ValueError):
+        Dfa(1, 2, 0, frozenset(), ((0.5,), (1.0,)))
+    with pytest.raises(ValueError):
+        Dfa(1, 2, 0, frozenset(), ((0,), (-1,)))
+    with pytest.raises(ValueError):
+        Dfa(2, 2, 0, frozenset(), ((0, 1), (1,)))
+
+
+def test_equality_is_by_value():
+    a = Dfa(2, 2, 0, frozenset({1}), ((0, 1), (1, 1)), ("a", "b"))
+    same = Dfa(2, 2, 0, frozenset({1}), np.array([[0, 1], [1, 1]], dtype=np.int64), ("a", "b"))
+    assert a == same and hash(a) == hash(same)
+    assert a != Dfa(2, 2, 0, frozenset({1}), ((0, 1), (1, 0)), ("a", "b"))
+    assert a != Dfa(2, 2, 0, frozenset({1}), ((0, 1), (1, 1)))
+    assert a != Dfa(2, 2, 1, frozenset({1}), ((0, 1), (1, 1)), ("a", "b"))
+
+
 def test_accessible_part_drops_the_unreachable():
     a = Dfa(1, 3, 0, frozenset({1, 2}), ((1,), (0,), (2,)))
     b, kept = accessible_part(a)
     assert b.state_count == 2
     assert kept == (0, 1)
     assert b.finals == frozenset({1})
-    assert b.delta == ((1,), (0,))
+    assert b.delta.tolist() == [[1], [0]]
 
 
 def test_accessible_part_keeps_breadth_first_order():
@@ -66,6 +90,26 @@ def test_accessible_part_keeps_breadth_first_order():
     b, kept = accessible_part(a)
     assert kept == (2, 3, 1, 0)
     assert b.initial == 0
+
+
+@settings(max_examples=150, deadline=None)
+@given(dfas(max_states=8))
+def test_accessible_part_matches_the_queue_bfs(a):
+    b, kept = accessible_part(a)
+    assert kept == helpers.accessible_order_reference(a)
+    rows = a.delta.tolist()
+    assert b.delta.tolist() == [[kept.index(t) for t in rows[q]] for q in kept]
+    assert b.finals == frozenset(i for i, q in enumerate(kept) if q in a.finals)
+
+
+def test_accessible_part_in_one_row_blocks(monkeypatch):
+    monkeypatch.setattr(automata, "BLOCK_ENTRIES", 1)
+    rng = random.Random(11)
+    for _ in range(50):
+        a = helpers.random_dfa(rng, max_states=7, max_letters=3)
+        b, kept = accessible_part(a)
+        assert kept == helpers.accessible_order_reference(a)
+        assert nerode_partition(b).class_count == helpers.distinguishable_classes(a)
 
 
 def test_run_and_accepts():
@@ -112,6 +156,16 @@ def test_minimize_matches_the_pair_marking_oracle(a):
     assert nerode_partition(m).class_count == m.state_count
 
 
+@settings(max_examples=150, deadline=None)
+@given(dfas(max_states=8))
+def test_nerode_partition_matches_the_signature_oracle(a):
+    part = nerode_partition(a)
+    assert part.class_of == helpers.signature_refinement(a)
+    assert part.class_count == max(part.class_of) + 1
+    acc, _ = accessible_part(a)
+    assert nerode_partition(acc).class_count == helpers.distinguishable_classes(a)
+
+
 @settings(max_examples=100, deadline=None)
 @given(dfas())
 def test_minimize_is_idempotent_in_size_and_language(a):
@@ -138,7 +192,7 @@ def test_is_equivalent_detects_differences():
 def test_preimage_by_renaming_permutes_columns():
     a = Dfa(3, 2, 0, frozenset({1}), ((0, 1, 0), (1, 0, 1)))
     b = preimage_by_renaming(a, (2, 0), ("x", "y"))
-    assert b.delta == ((0, 0), (1, 1))
+    assert b.delta.tolist() == [[0, 0], [1, 1]]
     assert b.letter_labels == ("x", "y")
     assert b.finals == a.finals and b.initial == a.initial
     with pytest.raises(ValueError):

@@ -2,7 +2,10 @@
 
 import pytest
 
+import helpers
+from starxor import MonsterSpec, monster2
 from starxor.experiments import full_monster_report, sweep_reports
+from starxor.reports import measure_stx, verdict
 
 
 @pytest.mark.parametrize(
@@ -35,3 +38,25 @@ def test_parallel_sweep_gives_the_same_rows():
     assert parallel_rows == rows
     assert parallel_summary.measured == summary.measured
     assert parallel_summary.verdict == summary.verdict == "pass"
+
+
+@pytest.mark.parametrize(
+    "build_pair, caps, named",
+    [
+        (
+            lambda: monster2(MonsterSpec.pair(3, 3, {2}, {0})),
+            {"cap_transitions": 729 * 10},
+            "exceed the cap of 7290 transitions",
+        ),
+        (
+            lambda: (helpers.cycle_dfa(8), helpers.cycle_dfa(8)),
+            {},
+            "64 operand states exceed the limit of 63",
+        ),
+    ],
+)
+def test_transition_cap_and_mask_limit_give_skipped_verdicts(build_pair, caps, named):
+    measured, note = measure_stx(build_pair, 2**22, **caps)
+    assert measured is None
+    assert named in note
+    assert verdict(measured, 67) == "skipped"

@@ -3,6 +3,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 import helpers
@@ -17,15 +18,17 @@ from starxor import (
     monster2,
     star_modifier,
     stx,
+    witness_pair,
     xor_modifier,
 )
+from starxor import automata, modifiers
 
 
 def test_star_of_the_two_state_monster_full_table():
     s = star_modifier(monster1(2, {1}), full=True)
     # states by mask: 0 empty, 1 {0}, 2 {1}, 3 {0,1}
-    assert s.state_masks == (0, 1, 2, 3)
-    assert s.delta == ((1, 1, 3, 3), (1, 1, 3, 3), (1, 3, 1, 3), (1, 3, 3, 3))
+    assert s.state_masks.tolist() == [0, 1, 2, 3]
+    assert s.delta.tolist() == [[1, 1, 3, 3], [1, 1, 3, 3], [1, 3, 1, 3], [1, 3, 3, 3]]
     assert s.finals == frozenset({0, 2, 3})
     assert s.initial == 0
 
@@ -33,7 +36,7 @@ def test_star_of_the_two_state_monster_full_table():
 def test_star_lazy_builds_only_the_forward_closure():
     s = star_modifier(monster1(2, {1}))
     # the subset {1} is never produced from the empty set
-    assert s.state_masks == (0, 1, 3)
+    assert s.state_masks.tolist() == [0, 1, 3]
     assert s.state_count == 3
 
 
@@ -112,17 +115,17 @@ def test_stx_equals_star_of_xor_on_every_final_pair():
         m1, m2 = monster2(MonsterSpec.pair(2, 2, f1, f2))
         direct = stx(m1, m2, full=True)
         composed = star_modifier(xor_modifier(m1, m2), full=True)
-        assert direct.delta == composed.delta, (f1, f2)
+        assert np.array_equal(direct.delta, composed.delta), (f1, f2)
         assert direct.finals == composed.finals, (f1, f2)
-        assert direct.state_masks == composed.state_masks, (f1, f2)
+        assert np.array_equal(direct.state_masks, composed.state_masks), (f1, f2)
 
 
 def test_stx_equals_star_of_xor_lazily():
     m1, m2 = monster2(MonsterSpec.pair(2, 3, {1}, {0}))
     direct = stx(m1, m2)
     composed = star_modifier(xor_modifier(m1, m2))
-    assert direct.delta == composed.delta
-    assert direct.state_masks == composed.state_masks
+    assert np.array_equal(direct.delta, composed.delta)
+    assert np.array_equal(direct.state_masks, composed.state_masks)
     assert direct.finals == composed.finals
 
 
@@ -172,3 +175,86 @@ def test_minimized_star_still_recognizes_the_star():
         m = minimize(star_modifier(a))
         for word in helpers.all_words(a.letter_count, 6):
             assert accepts(m, word) == helpers.star_membership(a, word)
+
+
+def _tables(s):
+    return s.delta.tolist(), s.state_masks.tolist(), s.finals, s.initial
+
+
+def _reference_tables(a, full=False):
+    delta, masks, finals, initial = helpers.subset_bfs_reference(a, full)
+    return [list(row) for row in delta], list(masks), finals, initial
+
+
+def _oracle_pairs():
+    for n1, n2 in [(2, 2), (2, 3), (3, 2), (3, 3), (4, 3), (3, 4), (4, 4)]:
+        yield f"witness ({n1},{n2})", witness_pair(n1, n2), False
+    for f1, f2 in [({2}, {0}), ({0}, {0}), ({1, 2}, {0, 2}), (set(), {1}), ({0, 1, 2}, set())]:
+        yield f"monster (3,3) {f1} {f2}", monster2(MonsterSpec.pair(3, 3, f1, f2)), False
+    yield "monster (2,3) full", monster2(MonsterSpec.pair(2, 3, {1}, {0})), True
+
+
+def test_stx_numbering_matches_the_reference_bfs():
+    # same state numbers, masks, finals and initial as a queue-driven BFS
+    for name, (a, b), full in _oracle_pairs():
+        expected = _reference_tables(helpers.xor_product_reference(a, b), full)
+        assert _tables(stx(a, b, full=full)) == expected, name
+
+
+def test_random_star_and_stx_tables_match_the_reference_bfs():
+    rng = random.Random(4242)
+    for _ in range(200):
+        a = helpers.random_dfa(rng, max_states=4, max_letters=4)
+        b = helpers.random_dfa_over(rng, a.letter_count, max_states=3)
+        product = helpers.xor_product_reference(a, b)
+        for full in (False, True):
+            assert _tables(star_modifier(a, full=full)) == _reference_tables(a, full), a
+            assert _tables(stx(a, b, full=full)) == _reference_tables(product, full), (a, b)
+
+
+@pytest.mark.parametrize(
+    "block_entries, table_entries, width",
+    [(1, 2**22, 8), (7, 1000, 4), (40, 500, 2), (64, 1, 1)],
+)
+def test_small_blocks_and_narrow_tables_keep_the_numbering(
+    monkeypatch, block_entries, table_entries, width
+):
+    # frontier blocks that split a level, and image tables read 4, 2 or 1 bits
+    # at a time, must not change a single table entry
+    monkeypatch.setattr(automata, "BLOCK_ENTRIES", block_entries)
+    monkeypatch.setattr(modifiers, "TABLE_ENTRIES", table_entries)
+    for n1, n2 in [(3, 3), (4, 3)]:
+        a, b = witness_pair(n1, n2)
+        product = helpers.xor_product_reference(a, b)
+        assert modifiers._image_tables(product.delta)[1] == width
+        assert _tables(stx(a, b)) == _reference_tables(product), (n1, n2)
+    a, b = monster2(MonsterSpec.pair(2, 3, {1}, {0}))
+    expected = _reference_tables(helpers.xor_product_reference(a, b), full=True)
+    assert _tables(stx(a, b, full=True)) == expected
+
+
+def test_stx_transition_cap():
+    m1, m2 = monster2(MonsterSpec.pair(2, 2, {1}, {0}))
+    # 16 letters: one row fits a cap of 16 transitions, the first block's
+    # successors do not
+    with pytest.raises(LimitExceeded, match="exceed the cap of 16 transitions"):
+        stx(m1, m2, cap_transitions=16)
+    with pytest.raises(LimitExceeded, match="exceed the cap of 15 transitions"):
+        stx(m1, m2, cap_transitions=15)
+    with pytest.raises(LimitExceeded, match="16 subset states x 16 letters"):
+        stx(m1, m2, full=True, cap_transitions=16 * 16 - 1)
+    assert stx(m1, m2, full=True, cap_transitions=16 * 16).state_count == 16
+    reachable = stx(m1, m2).state_count
+    assert stx(m1, m2, cap_transitions=reachable * 16).state_count == reachable
+
+
+def test_operands_beyond_63_states_are_refused_before_any_bfs():
+    with pytest.raises(LimitExceeded, match="64 operand states exceed the limit of 63"):
+        star_modifier(helpers.cycle_dfa(64))
+    with pytest.raises(LimitExceeded, match="64 operand states exceed the limit of 63"):
+        stx(helpers.cycle_dfa(8), helpers.cycle_dfa(8))
+    # bit 62, the highest an int64 mask can hold, still works
+    s = star_modifier(helpers.cycle_dfa(63))
+    assert s.state_masks.dtype == np.int64
+    assert s.state_masks.tolist()[:63] == [0] + [1 << q for q in range(1, 62)] + [1 << 62 | 1]
+    assert _tables(s) == _reference_tables(helpers.cycle_dfa(63))

@@ -248,8 +248,8 @@ def test_language_partition_merges_exactly_the_empty_and_seed_states():
         sat_partition = {frozenset(b) for b in sat_blocks.values()}
         nerode_blocks = {frozenset(b) for b in part.blocks()}
         assert len(sat_partition) == len(nerode_blocks) + 1, (n1, n2)
-        empty_state = s.state_masks.index(0)
-        seed_state = s.state_masks.index(1)
+        empty_state = s.state_masks.tolist().index(0)
+        seed_state = s.state_masks.tolist().index(1)
         merged = frozenset(
             sat_blocks[0] | sat_blocks[1]
         )
@@ -268,6 +268,7 @@ def test_transition_compatibility_with_single_closure_steps():
     n1 = n2 = 2
     m1, m2 = monster2(MonsterSpec.pair(2, 2, {1}, {0}))
     s = stx(m1, m2, full=True)
+    rows = s.delta.tolist()
     z = final_zone(2, 2, {1}, {0})
 
     def one_step(a_mask, b_mask):
@@ -291,7 +292,7 @@ def test_transition_compatibility_with_single_closure_steps():
             zb = is_final(Tableau(n1, n2, b_mask), z)
             assert za == zb, (a_mask, b_mask)
             for j in range(s.letter_count):
-                sa, sb = s.delta[a_mask][j], s.delta[b_mask][j]
+                sa, sb = rows[a_mask][j], rows[b_mask][j]
                 assert sa == sb or one_step(sa, sb), (a_mask, b_mask, j)
 
 
