@@ -101,25 +101,6 @@ def block_rows(letter_count: int) -> int:
     return max(1, BLOCK_ENTRIES // max(1, letter_count))
 
 
-def unique_first(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """np.unique(values, return_index=True, return_inverse=True) for a 1-D array.
-
-    The same three arrays (sorted distinct entries, the index of each one's
-    first occurrence, and the inverse), but from an unstable sort: the first
-    occurrence is the least index in each run of equal sorted entries.
-    """
-    perm = np.argsort(values)
-    ranked = values[perm]
-    starts = np.empty(len(values), dtype=bool)
-    starts[:1] = True
-    np.not_equal(ranked[1:], ranked[:-1], out=starts[1:])
-    inverse = np.empty(len(values), dtype=np.intp)
-    inverse[perm] = np.cumsum(starts) - 1
-    starts = np.flatnonzero(starts)
-    first = np.minimum.reduceat(perm, starts) if len(starts) else starts
-    return ranked[starts], first, inverse
-
-
 def accessible_part(a: Dfa) -> tuple[Dfa, tuple[int, ...]]:
     """Restriction to states reachable from the initial one, plus the remap.
 
@@ -136,7 +117,7 @@ def accessible_part(a: Dfa) -> tuple[Dfa, tuple[int, ...]]:
     step = block_rows(a.letter_count)
     while pos < count:
         targets = a.delta[order[pos:min(count, pos + step)]].reshape(-1)
-        unseen, first, _ = unique_first(targets[new_id[targets] < 0])
+        unseen, first = np.unique(targets[new_id[targets] < 0], return_index=True)
         fresh = unseen[np.argsort(first)]
         new_id[fresh] = np.arange(count, count + len(fresh), dtype=np.int32)
         order[count:count + len(fresh)] = fresh
@@ -163,9 +144,11 @@ def nerode_partition(a: Dfa) -> NerodePartition:
     """
     n, width = a.state_count, a.letter_count
     successors = np.ascontiguousarray(a.delta.T)
-    color = np.zeros(n, dtype=np.int32)
-    color[finals_array(a)] = 1
+    # colours are always 0..count-1, so they index the final renumbering
     count = 2 if 0 < len(a.finals) < n else 1
+    color = np.zeros(n, dtype=np.int32)
+    if count == 2:
+        color[finals_array(a)] = 1
     # rows 0..width-1 are the successors' colours, row width the own colour;
     # lexsort takes its last row as the primary key
     sig = np.empty((width + 1, n), dtype=np.int32)
@@ -183,10 +166,10 @@ def nerode_partition(a: Dfa) -> NerodePartition:
         new_count = int(breaks.sum()) + 1
         if new_count == count:
             # renumber the classes by first occurrence in state order
-            _, first, inverse = unique_first(color)
+            _, first = np.unique(color, return_index=True)
             rank = np.empty(count, dtype=np.int32)
             rank[np.argsort(first)] = np.arange(count, dtype=np.int32)
-            return NerodePartition(tuple(rank[inverse].tolist()), count)
+            return NerodePartition(tuple(rank[color].tolist()), count)
         color = np.empty(n, dtype=np.int32)
         color[order[0]] = 0
         color[order[1:]] = np.cumsum(breaks, dtype=np.int32)

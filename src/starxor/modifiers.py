@@ -19,13 +19,13 @@ from .automata import (
     finals_array,
     is_equivalent,
     preimage_by_renaming,
-    unique_first,
 )
 from .transforms import LimitExceeded
 
 DEFAULT_STATE_CAP = 2**22
-# Table entries (subset states x letters): 512 MB as int32.
-DEFAULT_TRANSITION_CAP = 2**27
+# Cap on table entries (subset states x letters): 512 MB as int32. Read at
+# each call of star_modifier.
+TRANSITION_CAP = 2**27
 # Subset masks are int64, so bit 62 is the highest an operand state can use.
 MAX_OPERAND_STATES = 63
 # Bound on the entries of the per-letter subset-image lookup tables.
@@ -63,6 +63,26 @@ class SubsetDfa(Dfa):
         return self.state_masks.item(q)
 
 
+def _unique_first(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """np.unique(values, return_index=True, return_inverse=True) for a 1-D array.
+
+    The same sorted distinct values, first-occurrence indices and inverse,
+    from one unstable argsort instead of np.unique's stable one: the first
+    occurrence is the least index in each run of equal sorted values. On the
+    million-entry blocks of star_modifier this takes about half the time.
+    """
+    perm = np.argsort(values)
+    ranked = values[perm]
+    starts = np.empty(len(values), dtype=bool)
+    starts[:1] = True
+    np.not_equal(ranked[1:], ranked[:-1], out=starts[1:])
+    inverse = np.empty(len(values), dtype=np.intp)
+    inverse[perm] = np.cumsum(starts) - 1
+    starts = np.flatnonzero(starts)
+    first = np.minimum.reduceat(perm, starts) if len(starts) else starts
+    return ranked[starts], first, inverse
+
+
 def _image_tables(delta: np.ndarray) -> tuple[np.ndarray, int]:
     """Per-letter lookup tables for subset images, and the chunk width in bits.
 
@@ -90,7 +110,6 @@ def star_modifier(
     a: Dfa,
     full: bool = False,
     cap_states: int = DEFAULT_STATE_CAP,
-    cap_transitions: int = DEFAULT_TRANSITION_CAP,
 ) -> SubsetDfa:
     """Subset construction recognizing L(a)*.
 
@@ -105,7 +124,7 @@ def star_modifier(
 
     The frontier is expanded a block of rows at a time, every letter at once.
     Before each block, LimitExceeded is raised if the known subset states
-    exceed cap_states or, times the letter count, cap_transitions; it is raised
+    exceed cap_states or, times the letter count, TRANSITION_CAP; it is raised
     up front if a has more than MAX_OPERAND_STATES states.
     """
     n, letters = a.state_count, a.letter_count
@@ -130,10 +149,10 @@ def star_modifier(
     def check_caps(count: int) -> None:
         if count > cap_states:
             raise LimitExceeded(f"subset states exceed the cap of {cap_states}")
-        if count * letters > cap_transitions:
+        if count * letters > TRANSITION_CAP:
             raise LimitExceeded(
                 f"{count} subset states x {letters} letters exceed the cap of "
-                f"{cap_transitions} transitions"
+                f"{TRANSITION_CAP} transitions"
             )
 
     step = block_rows(letters)
@@ -157,7 +176,7 @@ def star_modifier(
         while len(pending):
             check_caps(count)
             parents, pending = pending[:step], pending[step:]
-            values, first, inverse = unique_first(images(parents).reshape(-1))
+            values, first, inverse = _unique_first(images(parents).reshape(-1))
             at = np.searchsorted(known, values)
             old = known[np.minimum(at, len(known) - 1)] == values
             ids = np.empty(len(values), dtype=np.int32)
@@ -216,7 +235,6 @@ def stx(
     b: Dfa,
     full: bool = False,
     cap_states: int = DEFAULT_STATE_CAP,
-    cap_transitions: int = DEFAULT_TRANSITION_CAP,
 ) -> SubsetDfa:
     """Star of the symmetric difference: star_modifier(xor_modifier(a, b)).
 
@@ -226,12 +244,7 @@ def stx(
     state. The n1*n2-state product is built in full first, which costs little
     next to the subset construction; full and the caps go to star_modifier.
     """
-    return star_modifier(
-        xor_modifier(a, b),
-        full=full,
-        cap_states=cap_states,
-        cap_transitions=cap_transitions,
-    )
+    return star_modifier(xor_modifier(a, b), full=full, cap_states=cap_states)
 
 
 def check_1_uniformity(

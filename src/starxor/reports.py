@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from .automata import Dfa, minimize
-from .modifiers import DEFAULT_TRANSITION_CAP, stx
+from .modifiers import stx
 from .transforms import LimitExceeded
 
 VERDICTS = ("pass", "fail", "skipped")
@@ -80,7 +80,6 @@ class ExperimentReport:
 def measure_stx(
     build_pair: Callable[[], tuple[Dfa, Dfa]],
     cap_states: int,
-    cap_transitions: int = DEFAULT_TRANSITION_CAP,
 ) -> tuple[int | None, str]:
     """Minimal star-of-xor size of the operand pair build_pair() returns.
 
@@ -90,7 +89,7 @@ def measure_stx(
     """
     try:
         first, second = build_pair()
-        built = stx(first, second, cap_states=cap_states, cap_transitions=cap_transitions)
+        built = stx(first, second, cap_states=cap_states)
         return minimize(built).state_count, ""
     except LimitExceeded as exc:
         return None, str(exc)

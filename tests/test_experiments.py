@@ -3,7 +3,7 @@
 import pytest
 
 import helpers
-from starxor import MonsterSpec, monster2
+from starxor import MonsterSpec, modifiers, monster2
 from starxor.experiments import full_monster_report, sweep_reports
 from starxor.reports import measure_stx, verdict
 
@@ -41,22 +41,25 @@ def test_parallel_sweep_gives_the_same_rows():
 
 
 @pytest.mark.parametrize(
-    "build_pair, caps, named",
+    "build_pair, transition_cap, named",
     [
         (
             lambda: monster2(MonsterSpec.pair(3, 3, {2}, {0})),
-            {"cap_transitions": 729 * 10},
+            729 * 10,
             "exceed the cap of 7290 transitions",
         ),
         (
             lambda: (helpers.cycle_dfa(8), helpers.cycle_dfa(8)),
-            {},
+            modifiers.TRANSITION_CAP,
             "64 operand states exceed the limit of 63",
         ),
     ],
 )
-def test_transition_cap_and_mask_limit_give_skipped_verdicts(build_pair, caps, named):
-    measured, note = measure_stx(build_pair, 2**22, **caps)
+def test_transition_cap_and_mask_limit_give_skipped_verdicts(
+    monkeypatch, build_pair, transition_cap, named
+):
+    monkeypatch.setattr(modifiers, "TRANSITION_CAP", transition_cap)
+    measured, note = measure_stx(build_pair, 2**22)
     assert measured is None
     assert named in note
     assert verdict(measured, 67) == "skipped"

@@ -233,19 +233,34 @@ def test_small_blocks_and_narrow_tables_keep_the_numbering(
     assert _tables(stx(a, b, full=True)) == expected
 
 
-def test_stx_transition_cap():
+def test_unique_first_is_np_unique():
+    rng = np.random.default_rng(7)
+    for size in (0, 1, 2, 50, 5000):
+        values = rng.integers(0, max(1, size // 3), size).astype(np.int64)
+        expected = np.unique(values, return_index=True, return_inverse=True)
+        got = modifiers._unique_first(values)
+        for e, g in zip(expected, got):
+            assert np.array_equal(e.reshape(-1), g), size
+
+
+def test_stx_transition_cap(monkeypatch):
     m1, m2 = monster2(MonsterSpec.pair(2, 2, {1}, {0}))
+
+    def capped(cap, full=False):
+        monkeypatch.setattr(modifiers, "TRANSITION_CAP", cap)
+        return stx(m1, m2, full=full)
+
     # 16 letters: one row fits a cap of 16 transitions, the first block's
     # successors do not
     with pytest.raises(LimitExceeded, match="exceed the cap of 16 transitions"):
-        stx(m1, m2, cap_transitions=16)
+        capped(16)
     with pytest.raises(LimitExceeded, match="exceed the cap of 15 transitions"):
-        stx(m1, m2, cap_transitions=15)
+        capped(15)
     with pytest.raises(LimitExceeded, match="16 subset states x 16 letters"):
-        stx(m1, m2, full=True, cap_transitions=16 * 16 - 1)
-    assert stx(m1, m2, full=True, cap_transitions=16 * 16).state_count == 16
+        capped(16 * 16 - 1, full=True)
+    assert capped(16 * 16, full=True).state_count == 16
     reachable = stx(m1, m2).state_count
-    assert stx(m1, m2, cap_transitions=reachable * 16).state_count == reachable
+    assert capped(reachable * 16).state_count == reachable
 
 
 def test_operands_beyond_63_states_are_refused_before_any_bfs():
