@@ -17,30 +17,44 @@ class Dfa:
     delta is the dense row-major table, a read-only (state_count, letter_count)
     int32 array: delta[q, j] is the successor of state q on letter j. Any
     integer array-like of that shape is accepted; an int32 ndarray is used
-    without a copy, so do not write to it afterwards. letter_labels, when
-    present, name the letters for rendering and carry no semantics. Equality
-    is by value, table included.
+    without a copy, so do not write to it afterwards. finals, given as any
+    iterable of ints, is held as a read-only sorted int32 array of distinct
+    states. letter_labels, when present, name the letters for rendering and
+    carry no semantics. Equality is by value, finals and table included.
     """
 
     letter_count: int
     state_count: int
     initial: int
-    finals: frozenset[int]
+    finals: np.ndarray
     delta: np.ndarray
     letter_labels: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "finals", frozenset(self.finals))
         if self.letter_labels is not None:
             object.__setattr__(self, "letter_labels", tuple(self.letter_labels))
         if self.state_count < 1:
             raise ValueError("a complete DFA needs at least one state")
         if self.letter_count < 0:
             raise ValueError("letter_count must be nonnegative")
+        if isinstance(self.initial, bool) or not isinstance(self.initial, (int, np.integer)):
+            raise ValueError(f"initial state {self.initial!r} is not an integer")
+        object.__setattr__(self, "initial", int(self.initial))
         if not 0 <= self.initial < self.state_count:
             raise ValueError(f"initial state {self.initial} out of range")
-        if self.finals and not 0 <= min(self.finals) <= max(self.finals) < self.state_count:
+        try:
+            finals = np.asarray(self.finals if isinstance(self.finals, np.ndarray) else list(self.finals))
+        except TypeError:
+            raise ValueError("finals must be an iterable of states") from None
+        # np.asarray([]) is float64, so the dtype counts only when nonempty; bool is kind "b"
+        if finals.ndim != 1 or (finals.size and finals.dtype.kind not in "iu"):
+            raise ValueError("final states must be integers")
+        if finals.size and (finals.min() < 0 or finals.max() >= self.state_count):
             raise ValueError("final state out of range")
+        finals = np.sort(finals.astype(np.int32))
+        finals = finals[np.diff(finals, prepend=-1) != 0]
+        finals.flags.writeable = False
+        object.__setattr__(self, "finals", finals)
         raw = np.asarray(self.delta)
         shape = (self.state_count, self.letter_count)
         if raw.shape != shape:
@@ -57,38 +71,34 @@ class Dfa:
             raise ValueError("letter_labels length must match letter_count")
 
     def _key(self) -> tuple:
-        return (self.letter_count, self.state_count, self.initial, self.finals, self.letter_labels)
+        return (self.letter_count, self.state_count, self.initial, self.letter_labels)
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._key() == other._key() and np.array_equal(self.delta, other.delta)
+        same = self._key() == other._key() and np.array_equal(self.finals, other.finals)
+        return same and np.array_equal(self.delta, other.delta)
 
     def __hash__(self) -> int:
         return hash(self._key())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NerodePartition:
     """State partition by language equivalence: class_of[q] is q's class index.
 
-    Classes are numbered by first occurrence in state order, so the initial
-    state of an accessible DFA always lands in class 0's block ordering.
+    class_of is a read-only int32 array. Classes are numbered by first
+    occurrence in state order, so state 0 is always in class 0.
     """
 
-    class_of: tuple[int, ...]
+    class_of: np.ndarray
     class_count: int
 
     def blocks(self) -> tuple[frozenset[int], ...]:
         out: list[set[int]] = [set() for _ in range(self.class_count)]
-        for q, c in enumerate(self.class_of):
+        for q, c in enumerate(self.class_of.tolist()):
             out[c].add(q)
         return tuple(frozenset(b) for b in out)
-
-
-def finals_array(a: Dfa) -> np.ndarray:
-    """a's final states as an index array, in no particular order."""
-    return np.fromiter(a.finals, dtype=np.intp, count=len(a.finals))
 
 
 # Frontier rows gathered per step of a breadth-first pass, as a bound on the
@@ -101,10 +111,9 @@ def block_rows(letter_count: int) -> int:
     return max(1, BLOCK_ENTRIES // max(1, letter_count))
 
 
-def accessible_part(a: Dfa) -> tuple[Dfa, tuple[int, ...]]:
-    """Restriction to states reachable from the initial one, plus the remap.
+def accessible_part(a: Dfa) -> Dfa:
+    """Restriction to states reachable from the initial one.
 
-    Returns (b, kept) where kept[new] is the old index of b's state new.
     States come out in breadth-first discovery order, letters in index order:
     each frontier block's successors are numbered by first occurrence in
     (state, letter) order.
@@ -126,12 +135,9 @@ def accessible_part(a: Dfa) -> tuple[Dfa, tuple[int, ...]]:
     order = order[:count]
     if count == a.state_count and (order == np.arange(count)).all():
         # already accessible and numbered breadth first: share the table
-        b = Dfa(a.letter_count, count, 0, a.finals, a.delta, a.letter_labels)
-    else:
-        finals = new_id[finals_array(a)]
-        finals = frozenset(finals[finals >= 0].tolist())
-        b = Dfa(a.letter_count, count, 0, finals, new_id[a.delta[order]], a.letter_labels)
-    return b, tuple(order.tolist())
+        return Dfa(a.letter_count, count, 0, a.finals, a.delta, a.letter_labels)
+    finals = new_id[a.finals]
+    return Dfa(a.letter_count, count, 0, finals[finals >= 0], new_id[a.delta[order]], a.letter_labels)
 
 
 def nerode_partition(a: Dfa) -> NerodePartition:
@@ -148,7 +154,7 @@ def nerode_partition(a: Dfa) -> NerodePartition:
     count = 2 if 0 < len(a.finals) < n else 1
     color = np.zeros(n, dtype=np.int32)
     if count == 2:
-        color[finals_array(a)] = 1
+        color[a.finals] = 1
     # rows 0..width-1 are the successors' colours, row width the own colour;
     # lexsort takes its last row as the primary key
     sig = np.empty((width + 1, n), dtype=np.int32)
@@ -169,7 +175,9 @@ def nerode_partition(a: Dfa) -> NerodePartition:
             _, first = np.unique(color, return_index=True)
             rank = np.empty(count, dtype=np.int32)
             rank[np.argsort(first)] = np.arange(count, dtype=np.int32)
-            return NerodePartition(tuple(rank[color].tolist()), count)
+            class_of = rank[color]
+            class_of.flags.writeable = False
+            return NerodePartition(class_of, count)
         color = np.empty(n, dtype=np.int32)
         color[order[0]] = 0
         color[order[1:]] = np.cumsum(breaks, dtype=np.int32)
@@ -178,20 +186,19 @@ def nerode_partition(a: Dfa) -> NerodePartition:
 
 def minimize(a: Dfa) -> Dfa:
     """The minimal complete DFA for L(a): accessible part, then class quotient."""
-    acc, _ = accessible_part(a)
+    acc = accessible_part(a)
     part = nerode_partition(acc)
     if part.class_count == acc.state_count:
         return acc
-    class_of = np.asarray(part.class_of, dtype=np.int32)
     # classes are numbered by first occurrence, so each one's first state
     # represents it
-    _, reps = np.unique(class_of, return_index=True)
+    _, reps = np.unique(part.class_of, return_index=True)
     return Dfa(
         acc.letter_count,
         part.class_count,
         part.class_of[acc.initial],
-        frozenset(class_of[finals_array(acc)].tolist()),
-        class_of[acc.delta[reps]],
+        part.class_of[acc.finals],
+        part.class_of[acc.delta[reps]],
         acc.letter_labels,
     )
 
@@ -201,12 +208,13 @@ def is_equivalent(a: Dfa, b: Dfa) -> bool:
     if a.letter_count != b.letter_count:
         raise ValueError("language comparison needs a common alphabet")
     delta_a, delta_b = a.delta.tolist(), b.delta.tolist()
+    finals_a, finals_b = set(a.finals.tolist()), set(b.finals.tolist())
     start = (a.initial, b.initial)
     seen = {start}
     queue = deque([start])
     while queue:
         p, q = queue.popleft()
-        if (p in a.finals) != (q in b.finals):
+        if (p in finals_a) != (q in finals_b):
             return False
         for j in range(a.letter_count):
             nxt = (delta_a[p][j], delta_b[q][j])
@@ -244,9 +252,8 @@ def preimage_by_renaming(
     phi = tuple(phi)
     if any(not 0 <= p < a.letter_count for p in phi):
         raise ValueError("renaming targets a letter out of range")
-    labels = tuple(letter_labels) if letter_labels is not None else None
     columns = np.asarray(phi, dtype=np.intp)
-    return Dfa(len(phi), a.state_count, a.initial, a.finals, a.delta[:, columns], labels)
+    return Dfa(len(phi), a.state_count, a.initial, a.finals, a.delta[:, columns], letter_labels)
 
 
 def _letter_name(a: Dfa, j: int) -> str:
@@ -258,8 +265,9 @@ def _letter_name(a: Dfa, j: int) -> str:
 def export_dot(a: Dfa) -> str:
     """Graphviz rendering; parallel edges are merged with comma-joined labels."""
     lines = ["digraph dfa {", "  rankdir=LR;", "  __init [shape=point];"]
+    finals = set(a.finals.tolist())
     for q in range(a.state_count):
-        shape = "doublecircle" if q in a.finals else "circle"
+        shape = "doublecircle" if q in finals else "circle"
         lines.append(f'  q{q} [shape={shape}, label="{q}"];')
     lines.append(f"  __init -> q{a.initial};")
     for q, row in enumerate(a.delta.tolist()):
@@ -280,7 +288,7 @@ def export_json(a: Dfa) -> str:
         "letter_count": a.letter_count,
         "state_count": a.state_count,
         "initial": a.initial,
-        "finals": sorted(a.finals),
+        "finals": a.finals.tolist(),
         "delta": a.delta.tolist(),
     }
     if a.letter_labels is not None:
@@ -296,12 +304,11 @@ def import_json(text: str) -> Dfa:
     for field in ("letter_count", "state_count", "initial", "finals", "delta"):
         if field not in obj:
             raise ValueError(f"missing field {field!r}")
-    labels = obj.get("letter_labels")
     return Dfa(
         obj["letter_count"],
         obj["state_count"],
         obj["initial"],
-        frozenset(obj["finals"]),
+        obj["finals"],
         obj["delta"],
-        tuple(labels) if labels is not None else None,
+        obj.get("letter_labels"),
     )

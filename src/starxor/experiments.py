@@ -12,7 +12,7 @@ from typing import Any, Iterable
 from .automata import Dfa, export_dot, export_json, preimage_by_renaming
 from .modifiers import DEFAULT_STATE_CAP, star_modifier
 from .monsters import DEFAULT_LETTER_CAP, MonsterSpec, monster1, monster2
-from .reports import ExperimentReport, measure_stx, verdict
+from .reports import ExperimentReport, elapsed_ms, measure_stx, size_report, verdict
 from .tableaux import (
     count_constrained,
     count_rtf,
@@ -26,10 +26,6 @@ from .witness import verify_witness, witness_pair
 SC_METHODS = ("formula", "full-monster", "witness", "all")
 
 
-def _elapsed_ms(t0: float) -> float:
-    return (time.perf_counter() - t0) * 1000
-
-
 def formula_report(n1: int, n2: int) -> ExperimentReport:
     """Just the tableau-count prediction; nothing is constructed."""
     t0 = time.perf_counter()
@@ -39,7 +35,7 @@ def formula_report(n1: int, n2: int) -> ExperimentReport:
         parameters={"n1": n1, "n2": n2, "method": "formula"},
         predicted=predicted,
         verdict="pass",
-        wall_time_ms=_elapsed_ms(t0),
+        wall_time_ms=elapsed_ms(t0),
     )
 
 
@@ -50,20 +46,10 @@ def full_monster_report(
     cap_letters: int = DEFAULT_LETTER_CAP,
 ) -> ExperimentReport:
     """Minimal star-of-xor size over the full pair alphabet, with target finals."""
-    t0 = time.perf_counter()
-    predicted = predicted_complexity(n1, n2)
-    measured, note = measure_stx(
+    return size_report(
+        "sc", n1, n2, "full-monster",
         lambda: monster2(MonsterSpec.pair(n1, n2, {n1 - 1}, {0}), cap_letters=cap_letters),
         cap_states,
-    )
-    return ExperimentReport(
-        command="sc",
-        parameters={"n1": n1, "n2": n2, "method": "full-monster"},
-        measured=measured,
-        predicted=predicted,
-        verdict=verdict(measured, predicted),
-        wall_time_ms=_elapsed_ms(t0),
-        note=note,
     )
 
 
@@ -117,7 +103,7 @@ def sc_reports(
             measured=values,
             predicted=values.get("formula"),
             verdict=outcome,
-            wall_time_ms=_elapsed_ms(t0),
+            wall_time_ms=elapsed_ms(t0),
             note=note,
         )
     )
@@ -192,7 +178,7 @@ def sweep_reports(
             measured=None,
             predicted=predicted_complexity(n1, n2),
             verdict="skipped",
-            wall_time_ms=_elapsed_ms(t0),
+            wall_time_ms=elapsed_ms(t0),
             note=f"{len(rows) - len(done)} of {len(rows)} pairs hit a cap",
         )
         return rows, summary
@@ -208,7 +194,7 @@ def sweep_reports(
         measured={"max": best, "at_target": at_target},
         predicted=predicted_complexity(n1, n2),
         verdict="pass" if at_target == best else "fail",
-        wall_time_ms=_elapsed_ms(t0),
+        wall_time_ms=elapsed_ms(t0),
         note="maximum attained at " + ", ".join(
             f"({_format_final_set(f1)},{_format_final_set(f2)})" for f1, f2 in argmax
         ),
@@ -256,24 +242,24 @@ _EXPECTED_TABLES: dict[str, dict[str, Any]] = {
     "example-monster": {
         "labels": ("[00]", "[01]", "[10]", "[11]"),
         "delta": ((0, 0, 1, 1), (0, 1, 0, 1)),
-        "finals": frozenset({1}),
+        "finals": [1],
         "initial": 0,
     },
     # subset states by mask: 0 empty, 1 {0}, 2 {1}, 3 {0,1}
     "star-monster": {
         "delta": ((1, 1, 3, 3), (1, 1, 3, 3), (1, 3, 1, 3), (1, 3, 3, 3)),
-        "finals": frozenset({0, 2, 3}),
+        "finals": [0, 2, 3],
         "initial": 0,
     },
     "renamed-dfa": {
         "labels": ("a", "b"),
         "delta": ((0, 1), (1, 1)),
-        "finals": frozenset({1}),
+        "finals": [1],
         "initial": 0,
     },
     "star-renamed": {
         "delta": ((1, 3), (1, 3), (3, 3), (3, 3)),
-        "finals": frozenset({0, 2, 3}),
+        "finals": [0, 2, 3],
         "initial": 0,
     },
 }
@@ -302,8 +288,9 @@ def figure_reports() -> list[ExperimentReport]:
         delta = tuple(map(tuple, built.delta.tolist()))
         if delta != expected["delta"]:
             problems.append(f"delta differs: {delta} vs {expected['delta']}")
-        if built.finals != expected["finals"]:
-            problems.append(f"finals differ: {sorted(built.finals)} vs {sorted(expected['finals'])}")
+        finals = built.finals.tolist()
+        if finals != expected["finals"]:
+            problems.append(f"finals differ: {finals} vs {expected['finals']}")
         if built.initial != expected["initial"]:
             problems.append(f"initial differs: {built.initial} vs {expected['initial']}")
         if "labels" in expected and built.letter_labels != expected["labels"]:
@@ -315,7 +302,7 @@ def figure_reports() -> list[ExperimentReport]:
                 measured=built.state_count,
                 predicted=len(expected["delta"]),
                 verdict="fail" if problems else "pass",
-                wall_time_ms=_elapsed_ms(t0),
+                wall_time_ms=elapsed_ms(t0),
                 note="; ".join(problems) if problems else description,
             )
         )

@@ -16,7 +16,6 @@ import numpy as np
 from .automata import (
     Dfa,
     block_rows,
-    finals_array,
     is_equivalent,
     preimage_by_renaming,
 )
@@ -58,9 +57,6 @@ class SubsetDfa(Dfa):
         return np.array_equal(self.state_masks, other.state_masks)
 
     __hash__ = Dfa.__hash__
-
-    def mask_of(self, q: int) -> int:
-        return self.state_masks.item(q)
 
 
 def _unique_first(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -132,7 +128,7 @@ def star_modifier(
         raise LimitExceeded(
             f"{n} operand states exceed the limit of {MAX_OPERAND_STATES} for int64 subset masks"
         )
-    fmask = sum(1 << q for q in a.finals)
+    fmask = sum(1 << q for q in a.finals.tolist())
     ibit = 1 << a.initial
     tables, width = _image_tables(a.delta)
     empty_row_image = np.left_shift(np.int64(1), a.delta[a.initial].astype(np.int64))
@@ -193,12 +189,11 @@ def star_modifier(
             known = np.insert(known, where, values[new])
             known_id = np.insert(known_id, where, ids[new])
         masks = np.concatenate(found)
-    finals = np.flatnonzero((masks == 0) | ((masks & fmask) != 0))
     return SubsetDfa(
         letters,
         len(masks),
         0,
-        frozenset(finals.tolist()),
+        np.flatnonzero((masks == 0) | ((masks & fmask) != 0)),
         np.concatenate(rows),
         a.letter_labels,
         state_masks=masks,
@@ -215,16 +210,16 @@ def xor_modifier(a: Dfa, b: Dfa) -> Dfa:
     n1, n2 = a.state_count, b.state_count
     delta = (a.delta[:, None, :] * n2 + b.delta[None, :, :]).reshape(n1 * n2, a.letter_count)
     first_final = np.zeros(n1, dtype=bool)
-    first_final[finals_array(a)] = True
+    first_final[a.finals] = True
     second_final = np.zeros(n2, dtype=bool)
-    second_final[finals_array(b)] = True
+    second_final[b.finals] = True
     zone = first_final[:, None] != second_final[None, :]
     labels = a.letter_labels if a.letter_labels is not None else b.letter_labels
     return Dfa(
         a.letter_count,
         n1 * n2,
         a.initial * n2 + b.initial,
-        frozenset(np.flatnonzero(zone).tolist()),
+        np.flatnonzero(zone),
         delta,
         labels,
     )

@@ -1,15 +1,18 @@
 """Experiment reports shared by the library entry points and the CLI.
 
-Also the one measurement path and the one verdict rule behind every size check.
+Also the one measurement path, verdict rule and size-report builder behind
+every size check.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from .automata import Dfa, minimize
 from .modifiers import stx
+from .tableaux import predicted_complexity
 from .transforms import LimitExceeded
 
 VERDICTS = ("pass", "fail", "skipped")
@@ -47,19 +50,6 @@ class ExperimentReport:
         if self.note:
             out["note"] = self.note
         return out
-
-    def flat_dict(self) -> dict[str, Any]:
-        """Flat single-construction shape: sizes, method, both numbers, equality."""
-        p = self.parameters
-        return {
-            "n1": p.get("n1"),
-            "n2": p.get("n2"),
-            "method": p.get("method"),
-            "measured": self.measured,
-            "predicted": self.predicted,
-            "equal": self.verdict == "pass",
-            "wall_time_ms": self.wall_time_ms,
-        }
 
     def summary_line(self) -> str:
         params = " ".join(f"{k}={v}" for k, v in self.parameters.items())
@@ -106,3 +96,34 @@ def verdict(measured: int | None, predicted: int | None, at_most: bool = False) 
         return "skipped"
     holds = measured <= predicted if at_most else measured == predicted
     return "pass" if holds else "fail"
+
+
+def elapsed_ms(t0: float) -> float:
+    return (time.perf_counter() - t0) * 1000
+
+
+def size_report(
+    command: str,
+    n1: int,
+    n2: int,
+    method: str,
+    build_pair: Callable[[], tuple[Dfa, Dfa]],
+    cap_states: int,
+) -> ExperimentReport:
+    """Report of the minimal star-of-xor size of build_pair() against predicted_complexity(n1, n2).
+
+    pass on equality, fail otherwise; skipped with the cap's message as note
+    when measure_stx hits a cap. The wall time covers both numbers.
+    """
+    t0 = time.perf_counter()
+    predicted = predicted_complexity(n1, n2)
+    measured, note = measure_stx(build_pair, cap_states)
+    return ExperimentReport(
+        command=command,
+        parameters={"n1": n1, "n2": n2, "method": method},
+        measured=measured,
+        predicted=predicted,
+        verdict=verdict(measured, predicted),
+        wall_time_ms=elapsed_ms(t0),
+        note=note,
+    )

@@ -2,14 +2,12 @@
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 from .automata import Dfa
 from .modifiers import DEFAULT_STATE_CAP
 from .monsters import PairLetter
-from .reports import ExperimentReport, measure_stx, verdict
-from .tableaux import predicted_complexity
+from .reports import ExperimentReport, size_report
 from .transforms import cycle, identity, point_map
 
 
@@ -87,15 +85,6 @@ def verify_witness(
     cap_states: int = DEFAULT_STATE_CAP,
 ) -> ExperimentReport:
     """Build the witness star-of-xor, minimize, compare with the prediction."""
-    t0 = time.perf_counter()
-    predicted = predicted_complexity(n1, n2)
-    measured, note = measure_stx(lambda: witness_pair(n1, n2), cap_states)
-    return ExperimentReport(
-        command="verify-witness",
-        parameters={"n1": n1, "n2": n2, "method": "witness"},
-        measured=measured,
-        predicted=predicted,
-        verdict=verdict(measured, predicted),
-        wall_time_ms=(time.perf_counter() - t0) * 1000,
-        note=note,
+    return size_report(
+        "verify-witness", n1, n2, "witness", lambda: witness_pair(n1, n2), cap_states
     )

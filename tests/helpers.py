@@ -69,10 +69,11 @@ def distinguishable_classes(a: Dfa) -> int:
                 reachable.add(t)
                 frontier.append(t)
     states = sorted(reachable)
+    finals = set(a.finals.tolist())
     marked: set[tuple[int, int]] = set()
     for i, p in enumerate(states):
         for q in states[i + 1:]:
-            if (p in a.finals) != (q in a.finals):
+            if (p in finals) != (q in finals):
                 marked.add((p, q))
     changed = True
     while changed:
@@ -113,9 +114,10 @@ def star_of_xor_size(a: Dfa, b: Dfa) -> int:
     start = "start"
     seed = (a.initial, b.initial)
     rows_a, rows_b = a.delta.tolist(), b.delta.tolist()
+    finals_a, finals_b = set(a.finals.tolist()), set(b.finals.tolist())
 
     def pair_final(p: tuple[int, int]) -> bool:
-        return (p[0] in a.finals) != (p[1] in b.finals)
+        return (p[0] in finals_a) != (p[1] in finals_b)
 
     def step(subset: frozenset, j: int) -> frozenset:
         sources = {q for q in subset if q != start}
@@ -150,6 +152,7 @@ def star_of_xor_size(a: Dfa, b: Dfa) -> int:
 def xor_product_reference(a: Dfa, b: Dfa) -> Dfa:
     """The product DFA of xor_modifier, built pair by pair from the operands' rows."""
     rows_a, rows_b = a.delta.tolist(), b.delta.tolist()
+    finals_a, finals_b = set(a.finals.tolist()), set(b.finals.tolist())
     n2 = b.state_count
     delta = tuple(
         tuple(rows_a[x][j] * n2 + rows_b[y][j] for j in range(a.letter_count))
@@ -160,7 +163,7 @@ def xor_product_reference(a: Dfa, b: Dfa) -> Dfa:
         x * n2 + y
         for x in range(a.state_count)
         for y in range(n2)
-        if (x in a.finals) != (y in b.finals)
+        if (x in finals_a) != (y in finals_b)
     )
     return Dfa(a.letter_count, a.state_count * n2, a.initial * n2 + b.initial, finals, delta)
 
@@ -201,7 +204,7 @@ def subset_bfs_reference(a: Dfa, full: bool = False):
     rows_a = a.delta.tolist()
     n = a.state_count
     fmask = 0
-    for q in a.finals:
+    for q in a.finals.tolist():
         fmask |= 1 << q
     ibit = 1 << a.initial
     columns = [
@@ -257,6 +260,16 @@ def accessible_order_reference(a: Dfa) -> tuple[int, ...]:
     return tuple(order)
 
 
+def accessible_reference(a: Dfa) -> Dfa:
+    """accessible_part's result, built from accessible_order_reference one row at a time."""
+    order = accessible_order_reference(a)
+    new_id = {q: i for i, q in enumerate(order)}
+    rows = a.delta.tolist()
+    delta = tuple(tuple(new_id[t] for t in rows[q]) for q in order)
+    finals = [new_id[q] for q in a.finals.tolist() if q in new_id]
+    return Dfa(a.letter_count, len(order), 0, finals, delta, a.letter_labels)
+
+
 def signature_refinement(a: Dfa) -> tuple[int, ...]:
     """Language classes of all states, by refining (colour, successor colours).
 
@@ -264,7 +277,8 @@ def signature_refinement(a: Dfa) -> tuple[int, ...]:
     classes are numbered by first occurrence in state order.
     """
     rows = a.delta.tolist()
-    color = [int(q in a.finals) for q in range(a.state_count)]
+    finals = set(a.finals.tolist())
+    color = [int(q in finals) for q in range(a.state_count)]
     count = len(set(color))
     while True:
         ids: dict[tuple[int, ...], int] = {}

@@ -54,6 +54,30 @@ def test_validation_catches_shape_errors():
         Dfa(1, 2, 0, frozenset(), ((0,), (1,)), ("a", "b"))
 
 
+@pytest.mark.parametrize(
+    "finals",
+    [
+        frozenset({3, 0}),
+        [3, 0, 3, 0],
+        np.array([0, 3], dtype=np.int64),
+        np.array([3, 0, 0], dtype=np.uint8),
+    ],
+)
+def test_finals_are_a_sorted_read_only_int32_array(finals):
+    a = Dfa(1, 4, 0, finals, ((1,), (2,), (3,), (0,)))
+    expected = Dfa(1, 4, 0, (0, 3), ((1,), (2,), (3,), (0,)))
+    assert a == expected and hash(a) == hash(expected)
+    assert a.finals.dtype == np.int32 and a.finals.tolist() == [0, 3]
+    with pytest.raises(ValueError):
+        a.finals[0] = 1
+    empty = Dfa(1, 4, 0, [], ((1,), (2,), (3,), (0,)))
+    assert empty == Dfa(1, 4, 0, frozenset(), ((1,), (2,), (3,), (0,)))
+    assert empty.finals.dtype == np.int32 and empty.finals.shape == (0,)
+    assert not empty.finals.flags.writeable
+    with pytest.raises(ValueError):
+        Dfa(1, 4, 0, [0, 4], ((1,), (2,), (3,), (0,)))
+
+
 def test_delta_is_a_read_only_int32_table():
     a = Dfa(2, 2, 0, frozenset({1}), ((0, 1), (1, 1)))
     assert a.delta.dtype == np.int32 and a.delta.shape == (2, 2)
@@ -72,34 +96,34 @@ def test_equality_is_by_value():
     same = Dfa(2, 2, 0, frozenset({1}), np.array([[0, 1], [1, 1]], dtype=np.int64), ("a", "b"))
     assert a == same and hash(a) == hash(same)
     assert a != Dfa(2, 2, 0, frozenset({1}), ((0, 1), (1, 0)), ("a", "b"))
+    assert a != Dfa(2, 2, 0, frozenset({0}), ((0, 1), (1, 1)), ("a", "b"))
     assert a != Dfa(2, 2, 0, frozenset({1}), ((0, 1), (1, 1)))
     assert a != Dfa(2, 2, 1, frozenset({1}), ((0, 1), (1, 1)), ("a", "b"))
 
 
 def test_accessible_part_drops_the_unreachable():
     a = Dfa(1, 3, 0, frozenset({1, 2}), ((1,), (0,), (2,)))
-    b, kept = accessible_part(a)
+    b = accessible_part(a)
+    assert b == helpers.accessible_reference(a)
     assert b.state_count == 2
-    assert kept == (0, 1)
-    assert b.finals == frozenset({1})
+    assert b.finals.tolist() == [1]
     assert b.delta.tolist() == [[1], [0]]
 
 
 def test_accessible_part_keeps_breadth_first_order():
-    a = Dfa(2, 4, 2, frozenset(), ((0, 1), (2, 3), (3, 1), (0, 0)))
-    b, kept = accessible_part(a)
-    assert kept == (2, 3, 1, 0)
+    # breadth first from state 2: old states 2, 3, 1, 0 become 0, 1, 2, 3
+    a = Dfa(2, 4, 2, frozenset({1}), ((0, 1), (2, 3), (3, 1), (0, 0)))
+    b = accessible_part(a)
+    assert b == helpers.accessible_reference(a)
+    assert b.delta.tolist() == [[1, 2], [3, 3], [0, 1], [3, 2]]
+    assert b.finals.tolist() == [2]
     assert b.initial == 0
 
 
 @settings(max_examples=150, deadline=None)
 @given(dfas(max_states=8))
 def test_accessible_part_matches_the_queue_bfs(a):
-    b, kept = accessible_part(a)
-    assert kept == helpers.accessible_order_reference(a)
-    rows = a.delta.tolist()
-    assert b.delta.tolist() == [[kept.index(t) for t in rows[q]] for q in kept]
-    assert b.finals == frozenset(i for i, q in enumerate(kept) if q in a.finals)
+    assert accessible_part(a) == helpers.accessible_reference(a)
 
 
 def test_accessible_part_in_one_row_blocks(monkeypatch):
@@ -107,8 +131,8 @@ def test_accessible_part_in_one_row_blocks(monkeypatch):
     rng = random.Random(11)
     for _ in range(50):
         a = helpers.random_dfa(rng, max_states=7, max_letters=3)
-        b, kept = accessible_part(a)
-        assert kept == helpers.accessible_order_reference(a)
+        b = accessible_part(a)
+        assert b == helpers.accessible_reference(a)
         assert nerode_partition(b).class_count == helpers.distinguishable_classes(a)
 
 
@@ -116,8 +140,8 @@ def test_run_and_accepts():
     a = Dfa(2, 2, 0, frozenset({1}), ((0, 1), (1, 0)))
     assert run(a, ()) == 0
     assert run(a, (1, 1)) == 0
-    assert accepts(a, (1,))
-    assert not accepts(a, (0,))
+    assert accepts(a, (1,)) is True
+    assert accepts(a, (0,)) is False
     with pytest.raises(ValueError):
         run(a, (2,))
 
@@ -140,8 +164,9 @@ def test_minimize_of_empty_and_full_languages():
 def test_nerode_partition_respects_finality():
     a = Dfa(1, 4, 0, frozenset({2, 3}), ((1,), (2,), (3,), (3,)))
     part = nerode_partition(a)
-    finals_classes = {part.class_of[q] for q in a.finals}
-    others = {part.class_of[q] for q in range(4) if q not in a.finals}
+    class_of, finals = part.class_of.tolist(), a.finals.tolist()
+    finals_classes = {class_of[q] for q in finals}
+    others = {class_of[q] for q in range(4) if q not in finals}
     assert finals_classes.isdisjoint(others)
     blocks = part.blocks()
     assert sum(len(b) for b in blocks) == 4
@@ -160,9 +185,9 @@ def test_minimize_matches_the_pair_marking_oracle(a):
 @given(dfas(max_states=8))
 def test_nerode_partition_matches_the_signature_oracle(a):
     part = nerode_partition(a)
-    assert part.class_of == helpers.signature_refinement(a)
-    assert part.class_count == max(part.class_of) + 1
-    acc, _ = accessible_part(a)
+    assert part.class_of.tolist() == list(helpers.signature_refinement(a))
+    assert part.class_count == part.class_of.max() + 1
+    acc = accessible_part(a)
     assert nerode_partition(acc).class_count == helpers.distinguishable_classes(a)
 
 
@@ -194,7 +219,7 @@ def test_preimage_by_renaming_permutes_columns():
     b = preimage_by_renaming(a, (2, 0), ("x", "y"))
     assert b.delta.tolist() == [[0, 0], [1, 1]]
     assert b.letter_labels == ("x", "y")
-    assert b.finals == a.finals and b.initial == a.initial
+    assert b.finals.tolist() == [1] and b.initial == a.initial
     with pytest.raises(ValueError):
         preimage_by_renaming(a, (3,))
 
@@ -237,6 +262,25 @@ def test_json_round_trip_is_fieldwise():
     assert import_json(export_json(a)) == a
     bare = Dfa(1, 1, 0, frozenset(), ((0,),))
     assert import_json(export_json(bare)) == bare
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("finals", [1.5]),
+        ("finals", [True]),
+        ("finals", 1),
+        ("finals", [[1]]),
+        ("initial", 1.0),
+        ("initial", True),
+    ],
+)
+def test_import_json_rejects_non_integer_states(field, value):
+    obj = {"letter_count": 1, "state_count": 2, "initial": 0, "finals": [], "delta": [[1], [0]]}
+    assert import_json(json.dumps(obj)).finals.tolist() == []
+    obj[field] = value
+    with pytest.raises(ValueError):
+        import_json(json.dumps(obj))
 
 
 def test_import_json_rejects_malformed_text_with_position():

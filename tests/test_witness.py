@@ -73,8 +73,8 @@ def test_witness_pair_shape():
     assert (first.letter_count, second.letter_count) == (17, 17)
     assert (first.state_count, second.state_count) == (3, 4)
     assert (first.initial, second.initial) == (0, 0)
-    assert first.finals == frozenset({2})
-    assert second.finals == frozenset({0})
+    assert first.finals.tolist() == [2]
+    assert second.finals.tolist() == [0]
     assert first.letter_labels == second.letter_labels
     letters = sigma_prime(3, 4).letters
     assert first.letter_labels[7] == letters[7].render()
@@ -112,11 +112,6 @@ def test_verify_witness_report():
     assert report.predicted == 9
     assert report.verdict == "fail"
     assert report.wall_time_ms >= 0
-    flat = report.flat_dict()
-    assert flat["n1"] == 2 and flat["n2"] == 2
-    assert flat["method"] == "witness"
-    assert flat["measured"] == 8 and flat["predicted"] == 9
-    assert flat["equal"] is False
 
 
 def test_verify_witness_respects_the_state_cap():
