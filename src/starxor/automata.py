@@ -33,6 +33,11 @@ class Dfa:
     def __post_init__(self) -> None:
         if self.letter_labels is not None:
             object.__setattr__(self, "letter_labels", tuple(self.letter_labels))
+        for name in ("letter_count", "state_count"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} {value!r} is not an integer")
+            object.__setattr__(self, name, int(value))
         if self.state_count < 1:
             raise ValueError("a complete DFA needs at least one state")
         if self.letter_count < 0:

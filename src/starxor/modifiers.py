@@ -115,19 +115,33 @@ def star_modifier(
     initial state i joins the successor exactly when the image meets a's
     finals. By default only the forward closure of the empty set is built,
     breadth first, states numbered by first occurrence in (state, letter)
-    order; full=True materializes all 2^n subsets with state index equal to
-    bitmask.
+    order; full=True seeds the search with all 2^n subsets, state index equal
+    to bitmask.
 
-    The frontier is expanded a block of rows at a time, every letter at once.
-    Before each block, LimitExceeded is raised if the known subset states
-    exceed cap_states or, times the letter count, TRANSITION_CAP; it is raised
-    up front if a has more than MAX_OPERAND_STATES states.
+    The frontier is expanded a block of rows at a time, every letter at once,
+    into one growing table. LimitExceeded is raised once the known subset
+    states exceed cap_states or, times the letter count, TRANSITION_CAP; it
+    is raised up front if a has more than MAX_OPERAND_STATES states.
     """
     n, letters = a.state_count, a.letter_count
     if n > MAX_OPERAND_STATES:
         raise LimitExceeded(
             f"{n} operand states exceed the limit of {MAX_OPERAND_STATES} for int64 subset masks"
         )
+
+    def check_caps(count: int) -> None:
+        if count > cap_states:
+            raise LimitExceeded(f"subset states exceed the cap of {cap_states}")
+        if count * letters > TRANSITION_CAP:
+            raise LimitExceeded(
+                f"{count} subset states x {letters} letters exceed the cap of "
+                f"{TRANSITION_CAP} transitions"
+            )
+
+    count = 1 << n if full else 1
+    if full and count > cap_states:
+        raise LimitExceeded(f"2^{n} subset states exceed the cap of {cap_states}")
+    check_caps(count)
     fmask = sum(1 << q for q in a.finals.tolist())
     ibit = 1 << a.initial
     tables, width = _image_tables(a.delta)
@@ -142,59 +156,47 @@ def star_modifier(
         out[(out & fmask) != 0] |= ibit
         return out
 
-    def check_caps(count: int) -> None:
-        if count > cap_states:
-            raise LimitExceeded(f"subset states exceed the cap of {cap_states}")
-        if count * letters > TRANSITION_CAP:
-            raise LimitExceeded(
-                f"{count} subset states x {letters} letters exceed the cap of "
-                f"{TRANSITION_CAP} transitions"
-            )
-
+    # known holds every mask found so far, sorted, and known_id its state
+    known = np.arange(count, dtype=np.int64)
+    known_id = np.arange(count, dtype=np.int32)
+    pending = known
     step = block_rows(letters)
-    if full:
-        if (1 << n) > cap_states:
-            raise LimitExceeded(f"2^{n} subset states exceed the cap of {cap_states}")
-        check_caps(1 << n)
-        masks = np.arange(1 << n, dtype=np.int64)
-        rows = [
-            images(masks[lo:lo + step]).astype(np.int32)
-            for lo in range(0, len(masks), step)
-        ]
-    else:
-        # known holds every mask found so far, sorted, and known_id its state
-        known = np.zeros(1, dtype=np.int64)
-        known_id = np.zeros(1, dtype=np.int32)
-        found = [known]
-        pending = known
-        count = 1
-        rows = []
-        while len(pending):
-            check_caps(count)
-            parents, pending = pending[:step], pending[step:]
-            values, first, inverse = _unique_first(images(parents).reshape(-1))
-            at = np.searchsorted(known, values)
-            old = known[np.minimum(at, len(known) - 1)] == values
-            ids = np.empty(len(values), dtype=np.int32)
-            ids[old] = known_id[at[old]]
-            new = np.flatnonzero(~old)
-            # new masks are numbered by first occurrence in (parent, letter) order
-            by_first = new[np.argsort(first[new])]
-            ids[by_first] = np.arange(count, count + len(new), dtype=np.int32)
-            rows.append(ids[inverse].reshape(len(parents), letters))
-            found.append(values[by_first])
-            pending = np.concatenate([pending, values[by_first]])
-            count += len(new)
-            where = np.searchsorted(known, values[new])
-            known = np.insert(known, where, values[new])
-            known_id = np.insert(known_id, where, ids[new])
-        masks = np.concatenate(found)
+    # rows of states 0..done-1, in a table grown geometrically up to the caps
+    limit = min(cap_states, TRANSITION_CAP // max(1, letters))
+    table = np.empty((min(step, limit), letters), dtype=np.int32)
+    done = 0
+    while len(pending):
+        parents, pending = pending[:step], pending[step:]
+        values, first, inverse = _unique_first(images(parents).reshape(-1))
+        at = np.searchsorted(known, values)
+        old = known[np.minimum(at, len(known) - 1)] == values
+        ids = np.empty(len(values), dtype=np.int32)
+        ids[old] = known_id[at[old]]
+        new = np.flatnonzero(~old)
+        # new masks are numbered by first occurrence in (parent, letter) order
+        by_first = new[np.argsort(first[new])]
+        ids[by_first] = np.arange(count, count + len(new), dtype=np.int32)
+        count += len(new)
+        check_caps(count)
+        if done + len(parents) > len(table):
+            grown = np.empty((min(2 * len(table), limit), letters), dtype=np.int32)
+            grown[:done] = table[:done]
+            table = grown
+        table[done:done + len(parents)] = ids[inverse].reshape(len(parents), letters)
+        done += len(parents)
+        pending = np.concatenate([pending, values[by_first]])
+        where = np.searchsorted(known, values[new])
+        known = np.insert(known, where, values[new])
+        known_id = np.insert(known_id, where, ids[new])
+    table.resize((count, letters), refcheck=False)
+    masks = np.empty(count, dtype=np.int64)
+    masks[known_id] = known
     return SubsetDfa(
         letters,
-        len(masks),
+        count,
         0,
         np.flatnonzero((masks == 0) | ((masks & fmask) != 0)),
-        np.concatenate(rows),
+        table,
         a.letter_labels,
         state_masks=masks,
     )

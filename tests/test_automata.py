@@ -273,6 +273,8 @@ def test_json_round_trip_is_fieldwise():
         ("finals", [[1]]),
         ("initial", 1.0),
         ("initial", True),
+        ("letter_count", True),
+        ("state_count", 2.0),
     ],
 )
 def test_import_json_rejects_non_integer_states(field, value):

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -186,6 +187,13 @@ def _reference_tables(a, full=False):
     return [list(row) for row in delta], list(masks), sorted(finals), initial
 
 
+def _assert_no_spare_capacity(s):
+    for arr, size in [(s.delta, s.state_count * s.letter_count), (s.state_masks, s.state_count)]:
+        while arr.base is not None:
+            arr = arr.base
+        assert arr.size == size
+
+
 def _oracle_pairs():
     for n1, n2 in [(2, 2), (2, 3), (3, 2), (3, 3), (4, 3), (3, 4), (4, 4)]:
         yield f"witness ({n1},{n2})", witness_pair(n1, n2), False
@@ -220,17 +228,22 @@ def test_small_blocks_and_narrow_tables_keep_the_numbering(
     monkeypatch, block_entries, table_entries, width
 ):
     # frontier blocks that split a level, and image tables read 4, 2 or 1 bits
-    # at a time, must not change a single table entry
+    # at a time, must not change a single table entry; however often the
+    # table grew, it keeps no spare rows
     monkeypatch.setattr(automata, "BLOCK_ENTRIES", block_entries)
     monkeypatch.setattr(modifiers, "TABLE_ENTRIES", table_entries)
     for n1, n2 in [(3, 3), (4, 3)]:
         a, b = witness_pair(n1, n2)
         product = helpers.xor_product_reference(a, b)
         assert modifiers._image_tables(product.delta)[1] == width
-        assert _tables(stx(a, b)) == _reference_tables(product), (n1, n2)
+        s = stx(a, b)
+        assert _tables(s) == _reference_tables(product), (n1, n2)
+        _assert_no_spare_capacity(s)
     a, b = monster2(MonsterSpec.pair(2, 3, {1}, {0}))
     expected = _reference_tables(helpers.xor_product_reference(a, b), full=True)
-    assert _tables(stx(a, b, full=True)) == expected
+    s = stx(a, b, full=True)
+    assert _tables(s) == expected
+    _assert_no_spare_capacity(s)
 
 
 def test_unique_first_is_np_unique():
@@ -261,6 +274,20 @@ def test_stx_transition_cap(monkeypatch):
     assert capped(16 * 16, full=True).state_count == 16
     reachable = stx(m1, m2).state_count
     assert capped(reachable * 16).state_count == reachable
+
+
+def test_full_checks_the_caps_before_allocating(monkeypatch):
+    # 2^20 subsets of one letter are one transition too many: the cap fires
+    # before the 12 MB of masks and ids for them are allocated
+    monkeypatch.setattr(modifiers, "TRANSITION_CAP", 2**20 - 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(LimitExceeded, match="1048576 subset states x 1 letters"):
+            star_modifier(helpers.cycle_dfa(20), full=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_operands_beyond_63_states_are_refused_before_any_bfs():
