@@ -14,6 +14,7 @@ from .experiments import (
     SC_METHODS,
     export_artifact,
     figure_reports,
+    format_final_set,
     sc_reports,
     sweep_reports,
     write_sweep_csv,
@@ -97,11 +98,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         args.n1, args.n2, args.jobs, args.cap_states, args.cap_letters
     )
     for row in rows:
-        f1 = "{" + ",".join(map(str, row["F1"])) + "}"
-        f2 = "{" + ",".join(map(str, row["F2"])) + "}"
         print(
-            f"F1={f1} F2={f2} measured={row['measured']} "
-            f"predicted={row['predicted']} verdict={row['verdict']}"
+            f"F1={format_final_set(row['F1'])} F2={format_final_set(row['F2'])} "
+            f"measured={row['measured']} predicted={row['predicted']} verdict={row['verdict']}"
         )
     print(summary.summary_line())
     if args.csv:
@@ -133,9 +132,13 @@ def _cmd_export(args: argparse.Namespace) -> int:
 
 
 def _check_usage(args: argparse.Namespace) -> None:
-    """Reject bad sizes, worker counts and output paths before any work starts."""
+    """Reject bad sizes, worker counts, caps, bounds and output paths before any work starts."""
     if args.jobs < 1:
         raise ValueError("--jobs must be at least 1")
+    if min(args.cap_states, args.cap_letters) < 1:
+        raise ValueError("--cap-states and --cap-letters must be at least 1")
+    if args.subcommand == "export" and min(args.max_x, args.max_y) < 0:
+        raise ValueError("--max-x and --max-y must be at least 0")
     if args.subcommand in ("sc", "sweep-finals"):
         if min(args.n1, args.n2) < 1:
             raise ValueError("--n1 and --n2 must be at least 1")

@@ -20,7 +20,6 @@ from .tableaux import (
     final_zone,
     predicted_complexity,
 )
-from .transforms import LimitExceeded
 from .witness import verify_witness, witness_pair
 
 SC_METHODS = ("formula", "full-monster", "witness", "all")
@@ -124,11 +123,7 @@ def _sweep_one(args: tuple) -> dict[str, Any]:
         lambda: monster2(MonsterSpec.pair(n1, n2, f1, f2), cap_letters=cap_letters),
         cap_states,
     )
-    predicted: int | None
-    try:
-        predicted = count_constrained(final_zone(n1, n2, f1, f2))
-    except LimitExceeded:
-        predicted = None
+    predicted = count_constrained(final_zone(n1, n2, f1, f2))
     return {
         "n1": n1,
         "n2": n2,
@@ -196,13 +191,14 @@ def sweep_reports(
         verdict="pass" if at_target == best else "fail",
         wall_time_ms=elapsed_ms(t0),
         note="maximum attained at " + ", ".join(
-            f"({_format_final_set(f1)},{_format_final_set(f2)})" for f1, f2 in argmax
+            f"({format_final_set(f1)},{format_final_set(f2)})" for f1, f2 in argmax
         ),
     )
     return rows, summary
 
 
-def _format_final_set(f: tuple[int, ...]) -> str:
+def format_final_set(f: tuple[int, ...]) -> str:
+    """A final set as the sweep prints it, {0,1} for (0, 1)."""
     return "{" + ",".join(str(q) for q in f) + "}"
 
 
@@ -214,8 +210,8 @@ def write_sweep_csv(rows: Iterable[dict[str, Any]], path: str) -> None:
             writer.writerow([
                 row["n1"],
                 row["n2"],
-                _format_final_set(row["F1"]),
-                _format_final_set(row["F2"]),
+                format_final_set(row["F1"]),
+                format_final_set(row["F2"]),
                 row["measured"],
                 row["predicted"],
                 row["verdict"],

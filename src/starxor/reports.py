@@ -85,14 +85,14 @@ def measure_stx(
         return None, str(exc)
 
 
-def verdict(measured: int | None, predicted: int | None, at_most: bool = False) -> str:
+def verdict(measured: int | None, predicted: int, at_most: bool = False) -> str:
     """pass, fail or skipped for a measured size against its prediction.
 
-    skipped when either number is missing because a cap fired; otherwise pass
-    when the two are equal or, with at_most, when measured does not exceed
+    skipped when measured is missing because a cap fired; otherwise pass when
+    the two are equal or, with at_most, when measured does not exceed
     predicted.
     """
-    if measured is None or predicted is None:
+    if measured is None:
         return "skipped"
     holds = measured <= predicted if at_most else measured == predicted
     return "pass" if holds else "fail"

@@ -7,8 +7,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable
 
-from .transforms import LimitExceeded
-
+# Read only by perfbench/tracing.py, which refuses to start without it.
 EXHAUSTIVE_CELL_BUDGET = 20
 
 
@@ -125,7 +124,13 @@ def has_right_triangle(t: Tableau) -> bool:
     return False
 
 
-def _rows_ok(rows: list[int]) -> bool:
+def rows_equal_or_disjoint(t: Tableau) -> bool:
+    """Nonempty rows are pairwise equal or disjoint as column sets.
+
+    Equivalent to the absence of right triangles; the two predicates are kept
+    separate and cross-checked exhaustively in the tests.
+    """
+    rows = [t.row(x) for x in range(t.n1)]
     for i, r in enumerate(rows):
         if not r:
             continue
@@ -133,15 +138,6 @@ def _rows_ok(rows: list[int]) -> bool:
             if s and r & s and r != s:
                 return False
     return True
-
-
-def rows_equal_or_disjoint(t: Tableau) -> bool:
-    """Nonempty rows are pairwise equal or disjoint as column sets.
-
-    Equivalent to the absence of right triangles; the two predicates are kept
-    separate and cross-checked exhaustively in the tests.
-    """
-    return _rows_ok([t.row(x) for x in range(t.n1)])
 
 
 def saturate(t: Tableau) -> Tableau:
@@ -167,13 +163,6 @@ def saturate(t: Tableau) -> Tableau:
     for x, r in enumerate(rows):
         mask |= r << (x * t.n2)
     return Tableau(t.n1, t.n2, mask)
-
-
-def _require_budget(cells: int) -> None:
-    if cells > EXHAUSTIVE_CELL_BUDGET:
-        raise LimitExceeded(
-            f"{cells} cells exceed the exhaustive budget of {EXHAUSTIVE_CELL_BUDGET}"
-        )
 
 
 def _surjective_block(n: int, m: int) -> int:
@@ -242,16 +231,20 @@ def predicted_complexity(n1: int, n2: int) -> int:
 
 
 def count_constrained(z: FinalZone) -> int:
-    """Right-triangle-free tableaux where touching the zone forces the corner."""
-    cells = z.n1 * z.n2
-    _require_budget(cells)
-    width = (1 << z.n2) - 1
-    count = 0
-    for mask in range(1 << cells):
-        if mask & z.zone and not mask & 1:
-            continue
-        if _rows_ok([mask >> (i * z.n2) & width for i in range(z.n1)]):
-            count += 1
+    """Right-triangle-free tableaux where touching the zone forces the corner.
+
+    A tableau that avoids the zone splits into two independent
+    right-triangle-free blocks, rows in F1 by columns in F2 and rows outside
+    F1 by columns outside F2; every zone-touching one holds the corner. When
+    the corner lies outside the zone, the corner-holding tableaux that avoid
+    the zone are in both terms and are subtracted once.
+    """
+    inside = (len(z.finals1), len(z.finals2))
+    outside = (z.n1 - inside[0], z.n2 - inside[1])
+    count = count_rtf(*inside) * count_rtf(*outside) + count_rtf_pinned(z.n1, z.n2)
+    if (0 in z.finals1) == (0 in z.finals2):
+        corner, other = (inside, outside) if 0 in z.finals1 else (outside, inside)
+        count -= count_rtf_pinned(*corner) * count_rtf(*other)
     return count
 
 

@@ -313,6 +313,27 @@ def count_rtf_exhaustive(x: int, y: int, pinned: bool) -> int:
     return count
 
 
+def count_constrained_exhaustive(z) -> int:
+    """Right-triangle-free tableaux where touching zone z forces the corner, by all masks.
+
+    The reference for the library's closed-form count_constrained; tries all
+    2^(n1*n2) masks of the zone's grid.
+    """
+    width = (1 << z.n2) - 1
+    count = 0
+    for mask in range(1 << (z.n1 * z.n2)):
+        if mask & z.zone and not mask & 1:
+            continue
+        rows = [mask >> (i * z.n2) & width for i in range(z.n1)]
+        if all(
+            not r or not s or r == s or not r & s
+            for i, r in enumerate(rows)
+            for s in rows[i + 1:]
+        ):
+            count += 1
+    return count
+
+
 def star_membership(a: Dfa, word: tuple[int, ...]) -> bool:
     """Does the word split into factors of L(a)? Prefix dynamic programming."""
     k = len(word)

@@ -141,8 +141,17 @@ def test_export_rejects_unknown_artifact(tmp_path):
         ["sc", "--n1", "2", "--n2", "2", "--report", "{missing}/r.json"],
         ["sweep-finals", "--n1", "2", "--n2", "2", "--csv", "{missing}/rows.csv"],
         ["export", "--what", "alpha-table", "--format", "csv", "--out", "{missing}/x.csv"],
+        ["sc", "--n1", "3", "--n2", "3", "--method", "witness", "--cap-states", "-5"],
+        ["sweep-finals", "--n1", "2", "--n2", "2", "--cap-states", "0"],
+        ["sc", "--n1", "2", "--n2", "2", "--method", "full-monster", "--cap-letters", "0"],
+        ["export", "--what", "alpha-table", "--format", "csv", "--out", "{missing}", "--max-x", "-2"],
+        ["export", "--what", "alpha-table", "--format", "csv", "--out", "{missing}", "--max-y", "-1"],
     ],
-    ids=["witness-size", "zero-size", "sweep-zero-size", "jobs", "report-dir", "csv-dir", "out-dir"],
+    ids=[
+        "witness-size", "zero-size", "sweep-zero-size", "jobs", "report-dir", "csv-dir",
+        "out-dir", "negative-cap-states", "zero-cap-states", "zero-cap-letters",
+        "negative-max-x", "negative-max-y",
+    ],
 )
 def test_usage_errors_exit_2_before_any_work(argv, tmp_path, capsys):
     missing = tmp_path / "missing"

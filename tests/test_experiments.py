@@ -23,13 +23,23 @@ def test_full_monster_report_skips_at_a_cap(caps, named):
     assert named in report.note
 
 
-def test_sweep_rows_skip_at_the_state_cap():
-    rows, summary = sweep_reports(2, 2, cap_states=4)
-    assert len(rows) == 16
+@pytest.mark.parametrize(
+    "n, caps, at_target",
+    [(2, {"cap_states": 4}, 9), (5, {"cap_letters": 10}, 15931)],
+    ids=["states-2x2", "letters-5x5"],
+)
+def test_sweep_rows_skip_at_the_state_cap(n, caps, at_target):
+    # every row carries its zone's tableau count, even where no construction ran
+    rows, summary = sweep_reports(n, n, **caps)
+    pairs = 4**n
+    assert len(rows) == pairs
     assert all(row["verdict"] == "skipped" and row["measured"] is None for row in rows)
+    assert all(type(row["predicted"]) is int for row in rows)
+    target = next(row for row in rows if (row["F1"], row["F2"]) == ((n - 1,), (0,)))
+    assert target["predicted"] == at_target
     assert summary.verdict == "skipped"
     assert summary.measured is None
-    assert summary.note == "16 of 16 pairs hit a cap"
+    assert summary.note == f"{pairs} of {pairs} pairs hit a cap"
 
 
 def test_parallel_sweep_gives_the_same_rows():
