@@ -19,8 +19,9 @@ class Dfa:
     integer array-like of that shape is accepted; an int32 ndarray is used
     without a copy, so do not write to it afterwards. finals, given as any
     iterable of ints, is held as a read-only sorted int32 array of distinct
-    states. letter_labels, when present, name the letters for rendering and
-    carry no semantics. Equality is by value, finals and table included.
+    states. letter_labels, when present, is a sequence of strings that name
+    the letters for rendering and carry no semantics. Equality is by value,
+    finals and table included.
     """
 
     letter_count: int
@@ -32,7 +33,12 @@ class Dfa:
 
     def __post_init__(self) -> None:
         if self.letter_labels is not None:
-            object.__setattr__(self, "letter_labels", tuple(self.letter_labels))
+            labels = self.letter_labels
+            if isinstance(labels, str) or not isinstance(labels, Sequence) or not all(
+                isinstance(label, str) for label in labels
+            ):
+                raise ValueError("letter_labels must be a sequence of strings")
+            object.__setattr__(self, "letter_labels", tuple(labels))
         for name in ("letter_count", "state_count"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
@@ -154,39 +160,49 @@ def nerode_partition(a: Dfa) -> NerodePartition:
     break falls wherever two adjacent sorted signatures differ.
     """
     n, width = a.state_count, a.letter_count
-    successors = np.ascontiguousarray(a.delta.T)
     # colours are always 0..count-1, so they index the final renumbering
     count = 2 if 0 < len(a.finals) < n else 1
-    color = np.zeros(n, dtype=np.int32)
-    if count == 2:
-        color[a.finals] = 1
     # rows 0..width-1 are the successors' colours, row width the own colour;
     # lexsort takes its last row as the primary key
-    sig = np.empty((width + 1, n), dtype=np.int32)
-    breaks = np.empty(max(n - 1, 0), dtype=bool)
+    sig = np.zeros((width + 1, n), dtype=np.int32)
+    color = sig[width]
+    if count == 2:
+        color[a.finals] = 1
+    # delta is transposed one row block of at most BLOCK_ENTRIES bytes at a
+    # time, so that sig is the only table-sized array made here
+    step = block_rows(4 * width)
     while True:
-        # row by row, so that no (width, n) index or gather temporary is made
-        for j in range(width):
-            np.take(color, successors[j], out=sig[j], mode="clip")
-        sig[width] = color
+        for lo in range(0, n, step):
+            block = np.ascontiguousarray(a.delta[lo:lo + step].T)
+            for j in range(width):
+                np.take(color, block[j], out=sig[j, lo:lo + step], mode="clip")
+            del block
         order = np.lexsort(sig)
-        breaks[:] = False
+        breaks = np.zeros(n - 1, dtype=bool)
         for key in sig:
             ranked = key[order]
             breaks |= ranked[1:] != ranked[:-1]
+        del ranked
         new_count = int(breaks.sum()) + 1
         if new_count == count:
-            # renumber the classes by first occurrence in state order
-            _, first = np.unique(color, return_index=True)
-            rank = np.empty(count, dtype=np.int32)
-            rank[np.argsort(first)] = np.arange(count, dtype=np.int32)
-            class_of = rank[color]
-            class_of.flags.writeable = False
-            return NerodePartition(class_of, count)
-        color = np.empty(n, dtype=np.int32)
+            break
+        # the new colours overwrite the own-colour row in place
         color[order[0]] = 0
         color[order[1:]] = np.cumsum(breaks, dtype=np.int32)
         count = new_count
+        # freed before the next fill, which then runs beside sig alone
+        del order, breaks
+    # each colour c is now the c-th run of the sorted order, and lexsort is
+    # stable, so the run starts at the class's least state
+    first = np.empty(count, dtype=np.intp)
+    first[0] = order[0]
+    first[1:] = order[1:][breaks]
+    # renumber the classes by first occurrence in state order
+    rank = np.empty(count, dtype=np.int32)
+    rank[np.argsort(first)] = np.arange(count, dtype=np.int32)
+    class_of = rank[color]
+    class_of.flags.writeable = False
+    return NerodePartition(class_of, count)
 
 
 def minimize(a: Dfa) -> Dfa:
@@ -255,6 +271,8 @@ def preimage_by_renaming(
     so the state count never grows.
     """
     phi = tuple(phi)
+    if any(isinstance(p, bool) or not isinstance(p, (int, np.integer)) for p in phi):
+        raise ValueError("renaming letters must be integers")
     if any(not 0 <= p < a.letter_count for p in phi):
         raise ValueError("renaming targets a letter out of range")
     columns = np.asarray(phi, dtype=np.intp)

@@ -65,18 +65,23 @@ def _unique_first(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
     The same sorted distinct values, first-occurrence indices and inverse,
     from one unstable argsort instead of np.unique's stable one: the first
     occurrence is the least index in each run of equal sorted values. On the
-    million-entry blocks of star_modifier this takes about half the time.
+    million-entry blocks of star_modifier this takes about half the time. The
+    inverse is int32, not np.unique's intp: blocks are far below 2^31 values.
     """
     perm = np.argsort(values)
     ranked = values[perm]
     starts = np.empty(len(values), dtype=bool)
     starts[:1] = True
     np.not_equal(ranked[1:], ranked[:-1], out=starts[1:])
-    inverse = np.empty(len(values), dtype=np.intp)
-    inverse[perm] = np.cumsum(starts) - 1
+    distinct = ranked[starts]
+    del ranked
+    rank = np.cumsum(starts, dtype=np.int32)
+    rank -= 1
+    inverse = np.empty(len(values), dtype=np.int32)
+    inverse[perm] = rank
     starts = np.flatnonzero(starts)
     first = np.minimum.reduceat(perm, starts) if len(starts) else starts
-    return ranked[starts], first, inverse
+    return distinct, first, inverse
 
 
 def _image_tables(delta: np.ndarray) -> tuple[np.ndarray, int]:
@@ -119,7 +124,7 @@ def star_modifier(
     to bitmask.
 
     The frontier is expanded a block of rows at a time, every letter at once,
-    into one growing table. LimitExceeded is raised once the known subset
+    into one table. LimitExceeded is raised once the known subset
     states exceed cap_states or, times the letter count, TRANSITION_CAP; it
     is raised up front if a has more than MAX_OPERAND_STATES states.
     """
@@ -153,15 +158,17 @@ def star_modifier(
         for c in range(len(tables)):
             out |= tables[c][(masks >> (width * c)) & chunk]
         out[masks == 0] = empty_row_image
-        out[(out & fmask) != 0] |= ibit
-        return out
+        return np.bitwise_or(out, ibit, out=out, where=(out & fmask) != 0)
 
     # known holds every mask found so far, sorted, and known_id its state
     known = np.arange(count, dtype=np.int64)
     known_id = np.arange(count, dtype=np.int32)
     pending = known
     step = block_rows(letters)
-    # rows of states 0..done-1, in a table grown geometrically up to the caps
+    # rows of states 0..done-1: one block's rows, so that a small automaton
+    # maps no more than it writes; past that, one copy into the largest table
+    # the caps allow, backed only where rows are written and cut to count
+    # rows at the end without a copy
     limit = min(cap_states, TRANSITION_CAP // max(1, letters))
     table = np.empty((min(step, limit), letters), dtype=np.int32)
     done = 0
@@ -179,7 +186,7 @@ def star_modifier(
         count += len(new)
         check_caps(count)
         if done + len(parents) > len(table):
-            grown = np.empty((min(2 * len(table), limit), letters), dtype=np.int32)
+            grown = np.empty((limit, letters), dtype=np.int32)
             grown[:done] = table[:done]
             table = grown
         table[done:done + len(parents)] = ids[inverse].reshape(len(parents), letters)

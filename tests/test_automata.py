@@ -2,6 +2,7 @@
 
 import json
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +22,8 @@ from starxor import (
     nerode_partition,
     preimage_by_renaming,
     run,
+    stx,
+    witness_pair,
 )
 from starxor import automata
 
@@ -182,13 +185,50 @@ def test_minimize_matches_the_pair_marking_oracle(a):
 
 
 @settings(max_examples=150, deadline=None)
-@given(dfas(max_states=8))
-def test_nerode_partition_matches_the_signature_oracle(a):
-    part = nerode_partition(a)
-    assert part.class_of.tolist() == list(helpers.signature_refinement(a))
-    assert part.class_count == part.class_of.max() + 1
-    acc = accessible_part(a)
-    assert nerode_partition(acc).class_count == helpers.distinguishable_classes(a)
+@given(dfas(max_states=8), st.sampled_from([None, 1, 7, 40]))
+def test_nerode_partition_matches_the_signature_oracle(a, block_entries):
+    # the default fill blocks, and blocks of one or a few rows that split
+    # delta unevenly
+    with pytest.MonkeyPatch.context() as mp:
+        if block_entries is not None:
+            mp.setattr(automata, "BLOCK_ENTRIES", block_entries)
+        part = nerode_partition(a)
+        assert part.class_of.tolist() == list(helpers.signature_refinement(a))
+        assert part.class_count == part.class_of.max() + 1
+        acc = accessible_part(a)
+        assert nerode_partition(acc).class_count == helpers.distinguishable_classes(a)
+
+
+@pytest.mark.parametrize("block_entries", [1, 7, 40, 1000])
+def test_nerode_partition_in_small_fill_blocks(monkeypatch, block_entries):
+    # 17 letters: one row per fill block up to 40 entries, 14 rows at 1000
+    subsets = [stx(*witness_pair(n1, n2)) for n1, n2 in [(3, 3), (4, 3)]]
+    expected = [nerode_partition(s).class_of.tolist() for s in subsets]
+    monkeypatch.setattr(automata, "BLOCK_ENTRIES", block_entries)
+    for s, default in zip(subsets, expected):
+        assert nerode_partition(s).class_of.tolist() == default
+        assert default == list(helpers.signature_refinement(s))
+
+
+def test_nerode_partition_keeps_no_second_table():
+    # witness (4,4): 33,792 states over 17 letters. Beside sig, the
+    # (letters + 1, states) int32 signature table, refinement may hold one
+    # fill block: a transposed row block of delta and the intp index np.take
+    # makes of one of its rows; 64 KiB covers the interpreter's own objects.
+    # A transposed copy of all of delta is 2.3 MB and does not fit.
+    acc = stx(*witness_pair(4, 4))
+    n, width = acc.state_count, acc.letter_count
+    rows = automata.block_rows(4 * width)
+    assert (n, width) == (33792, 17) and rows < n
+    bound = (width + 1) * n * 4 + rows * (width * 4 + 8) + 2**16
+    tracemalloc.start()
+    try:
+        part = nerode_partition(acc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert part.class_count == 848
+    assert peak < bound
 
 
 @settings(max_examples=100, deadline=None)
@@ -222,6 +262,11 @@ def test_preimage_by_renaming_permutes_columns():
     assert b.finals.tolist() == [1] and b.initial == a.initial
     with pytest.raises(ValueError):
         preimage_by_renaming(a, (3,))
+    # bools and non-integers are refused, not truncated to letters 1 and 0
+    for phi in [(1.5, 0.2), (True, False), (np.float64(1.0),)]:
+        with pytest.raises(ValueError, match="must be integers"):
+            preimage_by_renaming(a, phi)
+    assert preimage_by_renaming(a, (np.int64(2),)).delta.tolist() == [[0], [1]]
 
 
 @settings(max_examples=150, deadline=None)
@@ -283,6 +328,16 @@ def test_import_json_rejects_non_integer_states(field, value):
     obj[field] = value
     with pytest.raises(ValueError):
         import_json(json.dumps(obj))
+
+
+@pytest.mark.parametrize("labels", ["ab", ["a", 1], 5, {"a": 0, "b": 1}])
+def test_letter_labels_must_be_a_sequence_of_strings(labels):
+    obj = {"letter_count": 2, "state_count": 1, "initial": 0, "finals": [], "delta": [[0, 0]]}
+    assert import_json(json.dumps({**obj, "letter_labels": ["a", "b"]})).letter_labels == ("a", "b")
+    with pytest.raises(ValueError, match="sequence of strings"):
+        import_json(json.dumps({**obj, "letter_labels": labels}))
+    with pytest.raises(ValueError, match="sequence of strings"):
+        Dfa(2, 1, 0, (), ((0, 0),), labels)
 
 
 def test_import_json_rejects_malformed_text_with_position():

@@ -228,8 +228,8 @@ def test_small_blocks_and_narrow_tables_keep_the_numbering(
     monkeypatch, block_entries, table_entries, width
 ):
     # frontier blocks that split a level, and image tables read 4, 2 or 1 bits
-    # at a time, must not change a single table entry; however often the
-    # table grew, it keeps no spare rows
+    # at a time, must not change a single table entry; the table is cut to
+    # its rows, with no spare capacity left
     monkeypatch.setattr(automata, "BLOCK_ENTRIES", block_entries)
     monkeypatch.setattr(modifiers, "TABLE_ENTRIES", table_entries)
     for n1, n2 in [(3, 3), (4, 3)]:
@@ -254,6 +254,8 @@ def test_unique_first_is_np_unique():
         got = modifiers._unique_first(values)
         for e, g in zip(expected, got):
             assert np.array_equal(e.reshape(-1), g), size
+        # half the bytes of np.unique's intp inverse
+        assert got[2].dtype == np.int32
 
 
 def test_stx_transition_cap(monkeypatch):
