@@ -4,7 +4,17 @@ from __future__ import annotations
 
 import random
 
-from starxor import Dfa, accepts
+from starxor import (
+    DEFAULT_LETTER_CAP,
+    DEFAULT_STATE_CAP,
+    Dfa,
+    MonsterSpec,
+    accepts,
+    count_constrained,
+    final_zone,
+    monster2,
+)
+from starxor.reports import measure_stx, verdict
 
 
 def random_dfa(
@@ -332,6 +342,42 @@ def count_constrained_exhaustive(z) -> int:
         ):
             count += 1
     return count
+
+
+def final_sets(n: int) -> list[tuple[int, ...]]:
+    """Every final set of an n-state automaton, ordered by bitmask value."""
+    return [tuple(q for q in range(n) if mask >> q & 1) for mask in range(1 << n)]
+
+
+def sweep_rows_exhaustive(
+    n1: int,
+    n2: int,
+    cap_states: int = DEFAULT_STATE_CAP,
+    cap_letters: int = DEFAULT_LETTER_CAP,
+) -> list[dict]:
+    """The finals sweep's rows with one construction per final-set pair.
+
+    The reference for experiments.sweep_reports, which builds one pair per
+    symmetry orbit; pairs run in the same order.
+    """
+    rows = []
+    for f1 in final_sets(n1):
+        for f2 in final_sets(n2):
+            measured, _ = measure_stx(
+                lambda: monster2(MonsterSpec.pair(n1, n2, f1, f2), cap_letters=cap_letters),
+                cap_states,
+            )
+            predicted = count_constrained(final_zone(n1, n2, f1, f2))
+            rows.append({
+                "n1": n1,
+                "n2": n2,
+                "F1": f1,
+                "F2": f2,
+                "measured": measured,
+                "predicted": predicted,
+                "verdict": verdict(measured, predicted, at_most=True),
+            })
+    return rows
 
 
 def star_membership(a: Dfa, word: tuple[int, ...]) -> bool:

@@ -1,10 +1,12 @@
 """Report builders behind the CLI: the shared cap-skip path and the parallel sweep."""
 
+import itertools
+
 import pytest
 
 import helpers
-from starxor import MonsterSpec, modifiers, monster2
-from starxor.experiments import full_monster_report, sweep_reports
+from starxor import MonsterSpec, count_constrained, experiments, final_zone, modifiers, monster2
+from starxor.experiments import full_monster_report, orbit_key, sweep_reports
 from starxor.reports import measure_stx, verdict
 
 
@@ -48,6 +50,56 @@ def test_parallel_sweep_gives_the_same_rows():
     assert parallel_rows == rows
     assert parallel_summary.measured == summary.measured
     assert parallel_summary.verdict == summary.verdict == "pass"
+
+
+@pytest.mark.parametrize(
+    "n1, n2, jobs",
+    [(2, 2, 1), (2, 3, 1), (3, 2, 1), (3, 3, 1), (2, 3, 2)],
+)
+def test_orbit_sweep_gives_the_rows_of_one_construction_per_pair(n1, n2, jobs):
+    rows, summary = sweep_reports(n1, n2, jobs=jobs)
+    assert rows == helpers.sweep_rows_exhaustive(n1, n2)
+    assert summary.verdict == "pass"
+
+
+def test_orbit_sweep_skips_whole_orbits_at_a_cap():
+    # at 20 subset states some orbits are measured and the others skip
+    rows, summary = sweep_reports(3, 3, cap_states=20)
+    expected = helpers.sweep_rows_exhaustive(3, 3, cap_states=20)
+    assert rows == expected
+    skipped = sum(row["measured"] is None for row in expected)
+    assert 0 < skipped < len(expected)
+    assert summary.verdict == "skipped"
+    assert summary.note == f"{skipped} of {len(expected)} pairs hit a cap"
+
+
+@pytest.mark.parametrize(
+    "n1, n2, caps, constructions",
+    [(3, 3, {}, 18), (4, 3, {"cap_letters": 10}, 24)],
+)
+def test_sweep_builds_one_construction_per_orbit(monkeypatch, n1, n2, caps, constructions):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return monster2(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "monster2", counted)
+    rows, _ = sweep_reports(n1, n2, **caps)
+    assert len(calls) == constructions
+    assert len(rows) == 2 ** (n1 + n2)
+    if caps:
+        assert all(row["verdict"] == "skipped" for row in rows)
+
+
+@pytest.mark.parametrize("n1, n2", list(itertools.product(range(1, 5), repeat=2)))
+def test_prediction_is_constant_on_each_orbit(n1, n2):
+    by_orbit = {}
+    for f1 in helpers.final_sets(n1):
+        for f2 in helpers.final_sets(n2):
+            predicted = count_constrained(final_zone(n1, n2, f1, f2))
+            by_orbit.setdefault(orbit_key(n1, n2, f1, f2), set()).add(predicted)
+    assert all(len(values) == 1 for values in by_orbit.values())
 
 
 @pytest.mark.parametrize(
