@@ -122,13 +122,49 @@ def block_rows(letter_count: int) -> int:
     return max(1, BLOCK_ENTRIES // max(1, letter_count))
 
 
+def _numbered_breadth_first(a: Dfa) -> bool:
+    """Is a accessible, with its states already in accessible_part's order?
+
+    Exactly when the initial state is 0, every entry of delta in row-major
+    order is at most one above the largest entry before it (state 0 counts as
+    named first), every state r >= 1 is named in a row before r, and the
+    largest entry is the last state. One linear pass, one row block at a time,
+    so that no table-sized temporary is made.
+    """
+    n, width = a.state_count, a.letter_count
+    if a.initial != 0:
+        return False
+    if width == 0:
+        return n == 1
+    top = 0
+    step = block_rows(width)
+    for lo in range(0, n, step):
+        flat = a.delta[lo:lo + step].reshape(-1)
+        run = np.maximum.accumulate(flat)
+        np.maximum(run, top, out=run)
+        # after each row r but the last, the largest state named is at least r + 1
+        ends = run[width - 1::width][:n - 1 - lo]
+        if (ends <= np.arange(lo, lo + len(ends))).any():
+            return False
+        if flat[0] > top + 1:
+            return False
+        top = int(run[-1])
+        run += 1
+        if (flat[1:] > run[:-1]).any():
+            return False
+    return top == n - 1
+
+
 def accessible_part(a: Dfa) -> Dfa:
     """Restriction to states reachable from the initial one.
 
     States come out in breadth-first discovery order, letters in index order:
     each frontier block's successors are numbered by first occurrence in
-    (state, letter) order.
+    (state, letter) order. When a is already accessible and so numbered, which
+    a linear check settles before any search, the result shares a's table.
     """
+    if _numbered_breadth_first(a):
+        return Dfa(a.letter_count, a.state_count, 0, a.finals, a.delta, a.letter_labels)
     new_id = np.full(a.state_count, -1, dtype=np.int32)
     new_id[a.initial] = 0
     order = np.empty(a.state_count, dtype=np.int32)
@@ -144,9 +180,6 @@ def accessible_part(a: Dfa) -> Dfa:
         pos = min(count, pos + step)
         count += len(fresh)
     order = order[:count]
-    if count == a.state_count and (order == np.arange(count)).all():
-        # already accessible and numbered breadth first: share the table
-        return Dfa(a.letter_count, count, 0, a.finals, a.delta, a.letter_labels)
     finals = new_id[a.finals]
     return Dfa(a.letter_count, count, 0, finals[finals >= 0], new_id[a.delta[order]], a.letter_labels)
 

@@ -27,7 +27,8 @@ DEFAULT_STATE_CAP = 2**22
 TRANSITION_CAP = 2**27
 # Subset masks are int64, so bit 62 is the highest an operand state can use.
 MAX_OPERAND_STATES = 63
-# Bound on the entries of the per-letter subset-image lookup tables.
+# Bound on the entries of the per-letter subset-image lookup tables, and of
+# star_modifier's dense mask map (n <= 22 operand states: at most 16 MB).
 TABLE_ENTRIES = 2**22
 
 
@@ -64,8 +65,8 @@ def _unique_first(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
 
     The same sorted distinct values, first-occurrence indices and inverse,
     from one unstable argsort instead of np.unique's stable one: the first
-    occurrence is the least index in each run of equal sorted values. On the
-    million-entry blocks of star_modifier this takes about half the time. The
+    occurrence is the least index in each run of equal sorted values. On
+    star_modifier's million-entry blocks this takes about half the time. The
     inverse is int32, not np.unique's intp: blocks are far below 2^31 values.
     """
     perm = np.argsort(values)
@@ -124,7 +125,9 @@ def star_modifier(
     to bitmask.
 
     The frontier is expanded a block of rows at a time, every letter at once,
-    into one table. LimitExceeded is raised once the known subset
+    into one table. Masks map to state ids through a dense int32 array over
+    all 2^n masks when 2^n <= TABLE_ENTRIES, else through a sorted array of
+    the masks found so far. LimitExceeded is raised once the known subset
     states exceed cap_states or, times the letter count, TRANSITION_CAP; it
     is raised up front if a has more than MAX_OPERAND_STATES states.
     """
@@ -160,44 +163,80 @@ def star_modifier(
         out[masks == 0] = empty_row_image
         return np.bitwise_or(out, ibit, out=out, where=(out & fmask) != 0)
 
-    # known holds every mask found so far, sorted, and known_id its state
-    known = np.arange(count, dtype=np.int64)
-    known_id = np.arange(count, dtype=np.int32)
-    pending = known
     step = block_rows(letters)
-    # rows of states 0..done-1: one block's rows, so that a small automaton
-    # maps no more than it writes; past that, one copy into the largest table
-    # the caps allow, backed only where rows are written and cut to count
-    # rows at the end without a copy
+    # table and masks each start at one block's worth, so that a small
+    # automaton maps no more than it writes; past that, one copy into the
+    # largest array the caps allow, backed only where it is written and cut
+    # to count at the end without a copy
     limit = min(cap_states, TRANSITION_CAP // max(1, letters))
+
+    def room(arr: np.ndarray, used: int, needed: int) -> np.ndarray:
+        if needed <= len(arr):
+            return arr
+        grown = np.empty((limit,) + arr.shape[1:], dtype=arr.dtype)
+        grown[:used] = arr[:used]
+        return grown
+
     table = np.empty((min(step, limit), letters), dtype=np.int32)
+    # masks[q] is state q's mask; states are numbered in discovery order, so
+    # masks[done:count] is the queue of states whose rows are still to come
+    if full:
+        masks = np.arange(count, dtype=np.int64)
+    else:
+        masks = np.empty(min(step, limit), dtype=np.int64)
+        masks[0] = 0
+
+    # number(img, count) gives the state ids of the masks in img, numbering
+    # the unseen ones count, count + 1, ... by first occurrence, and the
+    # unseen masks in that order
+    if 1 << n <= TABLE_ENTRIES:
+        # dense map: slot[m] is 1 + the id of mask m, 0 while m is unseen
+        slot = np.zeros(1 << n, dtype=np.int32)
+        slot[masks[:count]] = np.arange(1, count + 1, dtype=np.int32)
+
+        def number(img: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
+            ids = slot[img]
+            unseen = np.flatnonzero(ids == 0)
+            found = img[unseen]
+            values, first, _ = _unique_first(found)
+            fresh = values[np.argsort(first)]
+            slot[fresh] = np.arange(count + 1, count + 1 + len(fresh), dtype=np.int32)
+            ids[unseen] = slot[found]
+            ids -= 1
+            return ids, fresh
+    else:
+        # sorted map: known holds every mask found so far, sorted, and
+        # known_id its state
+        known = masks[:count].copy()
+        known_id = np.arange(count, dtype=np.int32)
+
+        def number(img: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
+            nonlocal known, known_id
+            values, first, inverse = _unique_first(img)
+            at = np.searchsorted(known, values)
+            old = known[np.minimum(at, len(known) - 1)] == values
+            ids = np.empty(len(values), dtype=np.int32)
+            ids[old] = known_id[at[old]]
+            new = np.flatnonzero(~old)
+            by_first = new[np.argsort(first[new])]
+            ids[by_first] = np.arange(count, count + len(new), dtype=np.int32)
+            known = np.insert(known, at[new], values[new])
+            known_id = np.insert(known_id, at[new], ids[new])
+            return ids[inverse], values[by_first]
+
     done = 0
-    while len(pending):
-        parents, pending = pending[:step], pending[step:]
-        values, first, inverse = _unique_first(images(parents).reshape(-1))
-        at = np.searchsorted(known, values)
-        old = known[np.minimum(at, len(known) - 1)] == values
-        ids = np.empty(len(values), dtype=np.int32)
-        ids[old] = known_id[at[old]]
-        new = np.flatnonzero(~old)
-        # new masks are numbered by first occurrence in (parent, letter) order
-        by_first = new[np.argsort(first[new])]
-        ids[by_first] = np.arange(count, count + len(new), dtype=np.int32)
-        count += len(new)
-        check_caps(count)
-        if done + len(parents) > len(table):
-            grown = np.empty((limit, letters), dtype=np.int32)
-            grown[:done] = table[:done]
-            table = grown
-        table[done:done + len(parents)] = ids[inverse].reshape(len(parents), letters)
-        done += len(parents)
-        pending = np.concatenate([pending, values[by_first]])
-        where = np.searchsorted(known, values[new])
-        known = np.insert(known, where, values[new])
-        known_id = np.insert(known_id, where, ids[new])
+    while done < count:
+        rows = min(step, count - done)
+        ids, fresh = number(images(masks[done:done + rows]).reshape(-1), count)
+        check_caps(count + len(fresh))
+        masks = room(masks, count, count + len(fresh))
+        masks[count:count + len(fresh)] = fresh
+        count += len(fresh)
+        table = room(table, done, done + rows)
+        table[done:done + rows] = ids.reshape(rows, letters)
+        done += rows
     table.resize((count, letters), refcheck=False)
-    masks = np.empty(count, dtype=np.int64)
-    masks[known_id] = known
+    masks.resize(count, refcheck=False)
     return SubsetDfa(
         letters,
         count,

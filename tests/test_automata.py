@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import helpers
 from starxor import (
     Dfa,
+    MonsterSpec,
     accepts,
     accessible_part,
     export_dot,
@@ -19,6 +20,7 @@ from starxor import (
     import_json,
     is_equivalent,
     minimize,
+    monster2,
     nerode_partition,
     preimage_by_renaming,
     run,
@@ -137,6 +139,85 @@ def test_accessible_part_in_one_row_blocks(monkeypatch):
         b = accessible_part(a)
         assert b == helpers.accessible_reference(a)
         assert nerode_partition(b).class_count == helpers.distinguishable_classes(a)
+
+
+@settings(max_examples=150, deadline=None)
+@given(dfas(max_states=6), st.sampled_from([None, 1, 3]))
+def test_breadth_first_check_holds_exactly_on_the_bfs_order(a, block_entries):
+    # the linear check must agree with the queue BFS, on a and on the
+    # accessible part the BFS builds from it, in blocks of any size
+    with pytest.MonkeyPatch.context() as mp:
+        if block_entries is not None:
+            mp.setattr(automata, "BLOCK_ENTRIES", block_entries)
+        identity = tuple(range(a.state_count))
+        assert automata._numbered_breadth_first(a) == (
+            a.initial == 0 and helpers.accessible_order_reference(a) == identity
+        )
+        assert automata._numbered_breadth_first(helpers.accessible_reference(a))
+
+
+@pytest.mark.parametrize(
+    "pair",
+    [witness_pair(3, 3), witness_pair(4, 3), monster2(MonsterSpec.pair(2, 3, {1}, {0}))],
+    ids=["witness (3,3)", "witness (4,3)", "monster (2,3)"],
+)
+def test_accessible_part_shares_the_table_of_stx_outputs(pair):
+    s = stx(*pair)
+    acc = accessible_part(s)
+    assert np.shares_memory(acc.delta, s.delta)
+    assert acc == helpers.accessible_reference(s)
+
+
+# 4 states over 2 letters, accessible and numbered breadth first
+BFS_NUMBERED = ((1, 2), (3, 0), (3, 1), (2, 0))
+
+
+@pytest.mark.parametrize("block_entries", [None, 1])
+@pytest.mark.parametrize(
+    "initial, delta",
+    [
+        pytest.param(1, BFS_NUMBERED, id="initial state not 0"),
+        pytest.param(0, ((2, 1), (3, 2), (3, 0), (1, 0)), id="states 1 and 2 swapped"),
+        pytest.param(0, BFS_NUMBERED + ((0, 4),), id="unreachable last state"),
+        pytest.param(0, ((1, 0), (0, 1), (2, 0)), id="state first named in its own row"),
+        pytest.param(0, ((2, 1), (0, 0), (0, 0)), id="entry two above the maximum"),
+        pytest.param(0, ((1, 1), (3, 2), (0, 0), (0, 0)), id="jump at a row start"),
+    ],
+)
+def test_breadth_first_check_rejects(monkeypatch, block_entries, initial, delta):
+    if block_entries is not None:
+        monkeypatch.setattr(automata, "BLOCK_ENTRIES", block_entries)
+    a = Dfa(2, len(delta), initial, frozenset({1, 2}), delta)
+    assert not automata._numbered_breadth_first(a)
+    assert accessible_part(a) == helpers.accessible_reference(a)
+    numbered = Dfa(2, 4, 0, frozenset({1, 2}), BFS_NUMBERED)
+    assert np.shares_memory(accessible_part(numbered).delta, numbered.delta)
+
+
+def test_accessible_part_makes_no_table_sized_temporary(monkeypatch):
+    # witness (4,4): 33,792 states over 17 letters, checked in row blocks of
+    # 3,855 rows. Beyond the Dfa's own validation of the shared arrays, the
+    # check may hold one block's temporaries: the running maximum (int32),
+    # a bool per entry, and an int64 and a bool per row; 64 KiB covers the
+    # interpreter's own objects. One running maximum over all of delta is
+    # 2.3 MB and does not fit.
+    s = stx(*witness_pair(4, 4))
+    n, width = s.state_count, s.letter_count
+    monkeypatch.setattr(automata, "BLOCK_ENTRIES", 2**16)
+    rows = automata.block_rows(width)
+    assert (n, width) == (33792, 17) and rows < n
+
+    def peak(build) -> tuple[Dfa, int]:
+        tracemalloc.start()
+        try:
+            return build(), tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    shared, validation = peak(lambda: Dfa(width, n, 0, s.finals, s.delta, s.letter_labels))
+    acc, used = peak(lambda: accessible_part(s))
+    assert acc == shared and np.shares_memory(acc.delta, s.delta)
+    assert used < validation + rows * (width * 5 + 9) + 2**16
 
 
 def test_run_and_accepts():

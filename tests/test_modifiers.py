@@ -246,6 +246,53 @@ def test_small_blocks_and_narrow_tables_keep_the_numbering(
     _assert_no_spare_capacity(s)
 
 
+@pytest.mark.parametrize(
+    "pair, full",
+    [
+        (witness_pair(4, 3), False),
+        (monster2(MonsterSpec.pair(2, 3, {1}, {0})), True),
+    ],
+    ids=["witness (4,3)", "monster (2,3) full"],
+)
+def test_dense_and_sorted_maps_give_the_same_tables(monkeypatch, pair, full):
+    # TABLE_ENTRIES at 2^n takes the dense mask map, one below it the sorted
+    # one; only the sorted map inserts into its known masks
+    a, b = pair
+    product = helpers.xor_product_reference(a, b)
+    n = product.state_count
+    inserts = []
+    insert = np.insert
+    monkeypatch.setattr(np, "insert", lambda *args: inserts.append(1) or insert(*args))
+    runs = []
+    for bound in (1 << n, (1 << n) - 1):
+        monkeypatch.setattr(modifiers, "TABLE_ENTRIES", bound)
+        inserts.clear()
+        s = stx(a, b, full=full)
+        runs.append((_tables(s), len(inserts) > 0))
+        _assert_no_spare_capacity(s)
+    assert [sorted_map for _, sorted_map in runs] == [False, True]
+    assert runs[0][0] == runs[1][0] == _reference_tables(product, full)
+
+
+def test_dense_map_costs_four_bytes_per_mask(monkeypatch):
+    # 2^20 masks of one letter, 362 of them reachable: beside what the sorted
+    # map's run allocates, the dense map adds one int32 per mask; 64 KiB
+    # covers the interpreter's own objects
+    def peak() -> int:
+        tracemalloc.start()
+        try:
+            assert star_modifier(helpers.cycle_dfa(20)).state_count == 362
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    dense = peak()
+    monkeypatch.setattr(modifiers, "TABLE_ENTRIES", 2**20 - 1)
+    assert modifiers._image_tables(helpers.cycle_dfa(20).delta)[1] == 8
+    sparse = peak()
+    assert sparse < dense < sparse + 4 * 2**20 + 2**16
+
+
 def test_unique_first_is_np_unique():
     rng = np.random.default_rng(7)
     for size in (0, 1, 2, 50, 5000):
