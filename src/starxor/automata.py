@@ -62,8 +62,12 @@ class Dfa:
             raise ValueError("final states must be integers")
         if finals.size and (finals.min() < 0 or finals.max() >= self.state_count):
             raise ValueError("final state out of range")
-        finals = np.sort(finals.astype(np.int32))
-        finals = finals[np.diff(finals, prepend=-1) != 0]
+        # one int32 copy, sorted in place; np.unique is far slower on large arrays
+        finals = finals.astype(np.int32)
+        finals.sort()
+        distinct = np.ones(finals.size, dtype=bool)
+        np.not_equal(finals[1:], finals[:-1], out=distinct[1:])
+        finals = finals[distinct]
         finals.flags.writeable = False
         object.__setattr__(self, "finals", finals)
         raw = np.asarray(self.delta)

@@ -25,15 +25,14 @@ from .reports import ExperimentReport
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--jobs", type=int, default=1, help="worker processes for sweeps")
-    common.add_argument(
+    caps = argparse.ArgumentParser(add_help=False)
+    caps.add_argument(
         "--cap-states",
         type=int,
         default=DEFAULT_STATE_CAP,
         help="abort any subset construction beyond this many states",
     )
-    common.add_argument(
+    caps.add_argument(
         "--cap-letters",
         type=int,
         default=DEFAULT_LETTER_CAP,
@@ -45,7 +44,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    sc = sub.add_parser("sc", parents=[common], help="measure one size point")
+    sc = sub.add_parser("sc", parents=[caps], help="measure one size point")
     sc.add_argument("--n1", type=int, required=True)
     sc.add_argument("--n2", type=int, required=True)
     sc.add_argument("--method", choices=SC_METHODS, default="all")
@@ -53,20 +52,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sweep = sub.add_parser(
         "sweep-finals",
-        parents=[common],
+        parents=[caps],
         help="measure every final-set pair at one size",
     )
     sweep.add_argument("--n1", type=int, required=True)
     sweep.add_argument("--n2", type=int, required=True)
+    sweep.add_argument("--jobs", type=int, default=1, help="worker processes for the sweep")
     sweep.add_argument("--csv", help="write the per-pair rows as CSV to this path")
 
-    sub.add_parser(
-        "verify-figures",
-        parents=[common],
-        help="replay the bundled reference constructions",
-    )
+    sub.add_parser("verify-figures", help="replay the bundled reference constructions")
 
-    export = sub.add_parser("export", parents=[common], help="write one artifact to a file")
+    export = sub.add_parser("export", help="write one artifact to a file")
     export.add_argument("--what", choices=EXPORT_WHATS, required=True)
     export.add_argument("--format", choices=EXPORT_FORMATS, required=True)
     export.add_argument("--out", required=True)
@@ -133,17 +129,17 @@ def _cmd_export(args: argparse.Namespace) -> int:
 
 def _check_usage(args: argparse.Namespace) -> None:
     """Reject bad sizes, worker counts, caps, bounds and output paths before any work starts."""
-    if args.jobs < 1:
-        raise ValueError("--jobs must be at least 1")
-    if min(args.cap_states, args.cap_letters) < 1:
-        raise ValueError("--cap-states and --cap-letters must be at least 1")
-    if args.subcommand == "export" and min(args.max_x, args.max_y) < 0:
-        raise ValueError("--max-x and --max-y must be at least 0")
     if args.subcommand in ("sc", "sweep-finals"):
+        if min(args.cap_states, args.cap_letters) < 1:
+            raise ValueError("--cap-states and --cap-letters must be at least 1")
         if min(args.n1, args.n2) < 1:
             raise ValueError("--n1 and --n2 must be at least 1")
         if getattr(args, "method", None) in ("witness", "all") and min(args.n1, args.n2) < 2:
             raise ValueError("--n1 and --n2 must be at least 2 when the witness runs")
+    if args.subcommand == "sweep-finals" and args.jobs < 1:
+        raise ValueError("--jobs must be at least 1")
+    if args.subcommand == "export" and min(args.max_x, args.max_y) < 0:
+        raise ValueError("--max-x and --max-y must be at least 0")
     for path in (getattr(args, name, None) for name in ("report", "csv", "out")):
         if path and not os.path.isdir(os.path.dirname(path) or "."):
             raise ValueError(f"the directory of {path} does not exist")

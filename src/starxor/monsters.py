@@ -6,6 +6,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable
 
+import numpy as np
+
 from .automata import Dfa
 from .transforms import (
     LimitExceeded,
@@ -71,27 +73,35 @@ def monster(spec: MonsterSpec, cap_letters: int = DEFAULT_LETTER_CAP) -> tuple[D
     Letters are tuples of transformations, enumerated in lexicographic
     (first, second, ...) order; coordinate i acts on automaton i by
     delta(q, letter) = letter[i](q). Every automaton starts in state 0.
+    Letter L is the mixed-radix number of its coordinates' ranks, and a rank
+    is the base-n number of its image tuple, so delta[q, L] is digit q of
+    coordinate i's rank.
     """
     total = spec.letter_total()
     if total > cap_letters:
         raise LimitExceeded(f"{total} letters exceed the cap of {cap_letters}")
-    per_coord = [enumerate_all(n, limit=cap_letters) for n in spec.sizes]
-    letters = list(itertools.product(*per_coord))
+    renders = [
+        [t.render() for t in enumerate_all(n, limit=cap_letters)]
+        for n in spec.sizes
+    ]
     if len(spec.sizes) == 1:
-        labels = tuple(combo[0].render() for combo in letters)
+        labels = tuple(renders[0])
     else:
-        labels = tuple(
-            "(" + ",".join(t.render() for t in combo) + ")"
-            for combo in letters
+        labels = tuple("(" + ",".join(combo) + ")" for combo in itertools.product(*renders))
+    ranks = np.unravel_index(
+        np.arange(total), [transformation_count(n) for n in spec.sizes]
+    )
+    return tuple(
+        Dfa(
+            total,
+            n,
+            0,
+            spec.finals[coord],
+            np.stack(np.unravel_index(ranks[coord], (n,) * n)),
+            labels,
         )
-    out = []
-    for coord, n in enumerate(spec.sizes):
-        delta = tuple(
-            tuple(combo[coord](q) for combo in letters)
-            for q in range(n)
-        )
-        out.append(Dfa(len(letters), n, 0, spec.finals[coord], delta, labels))
-    return tuple(out)
+        for coord, n in enumerate(spec.sizes)
+    )
 
 
 def monster1(

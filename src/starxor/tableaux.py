@@ -1,8 +1,12 @@
-"""Grid subsets (tableaux), their final zone, and right-triangle-free counting."""
+"""The final zone of a final-set pair, and closed-form counts of right-triangle-free tableaux.
+
+A tableau is a subset of the n1 x n2 grid, held as a row-major int mask
+(cell_bit), as in a SubsetDfa's state_masks. The tableau predicates and
+saturation are test oracles in tests/helpers.py.
+"""
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable
@@ -14,45 +18,6 @@ EXHAUSTIVE_CELL_BUDGET = 20
 def cell_bit(x: int, y: int, n2: int) -> int:
     """Row-major bit position of cell (x, y) on a grid with n2 columns."""
     return x * n2 + y
-
-
-@dataclass(frozen=True)
-class Tableau:
-    """A subset of the n1 x n2 grid, held as a row-major bitmask."""
-
-    n1: int
-    n2: int
-    cells: int
-
-    def __post_init__(self) -> None:
-        if self.n1 < 0 or self.n2 < 0:
-            raise ValueError("grid dimensions must be nonnegative")
-        if not 0 <= self.cells < 1 << (self.n1 * self.n2):
-            raise ValueError("cell mask out of range for the grid")
-
-    @classmethod
-    def from_cells(cls, n1: int, n2: int, cells: Iterable[tuple[int, int]]) -> "Tableau":
-        mask = 0
-        for x, y in cells:
-            if not 0 <= x < n1 or not 0 <= y < n2:
-                raise ValueError(f"cell ({x}, {y}) outside the {n1} x {n2} grid")
-            mask |= 1 << cell_bit(x, y, n2)
-        return cls(n1, n2, mask)
-
-    def has_cell(self, x: int, y: int) -> bool:
-        return bool(self.cells >> cell_bit(x, y, self.n2) & 1)
-
-    def row(self, x: int) -> int:
-        """Column mask of row x."""
-        return self.cells >> (x * self.n2) & ((1 << self.n2) - 1)
-
-    def cell_list(self) -> tuple[tuple[int, int], ...]:
-        return tuple(
-            (x, y)
-            for x in range(self.n1)
-            for y in range(self.n2)
-            if self.has_cell(x, y)
-        )
 
 
 @dataclass(frozen=True)
@@ -84,85 +49,6 @@ def final_zone(
             if (x in f1) != (y in f2):
                 zone |= 1 << cell_bit(x, y, n2)
     return FinalZone(n1, n2, f1, f2, zone)
-
-
-def _check_dims(t: Tableau, z: FinalZone) -> None:
-    if (t.n1, t.n2) != (z.n1, z.n2):
-        raise ValueError("tableau and zone live on different grids")
-
-
-def is_final(t: Tableau, z: FinalZone) -> bool:
-    """Does the tableau touch the final zone?"""
-    _check_dims(t, z)
-    return bool(t.cells & z.zone)
-
-
-def is_accessible_state(t: Tableau, z: FinalZone) -> bool:
-    """Touching the zone forces the corner cell (0, 0).
-
-    This predicate characterizes which grid subsets the star-of-xor
-    construction can reach from the empty set when both operands start in
-    state 0: any zone hit seeds the corner, so a zone-touching subset without
-    the corner can never appear.
-    """
-    _check_dims(t, z)
-    return not t.cells & z.zone or bool(t.cells & 1)
-
-
-def has_right_triangle(t: Tableau) -> bool:
-    """Some axis-aligned rectangle meets the tableau in exactly three corners."""
-    for x1, x2 in itertools.combinations(range(t.n1), 2):
-        for y1, y2 in itertools.combinations(range(t.n2), 2):
-            corners = (
-                t.has_cell(x1, y1)
-                + t.has_cell(x1, y2)
-                + t.has_cell(x2, y1)
-                + t.has_cell(x2, y2)
-            )
-            if corners == 3:
-                return True
-    return False
-
-
-def rows_equal_or_disjoint(t: Tableau) -> bool:
-    """Nonempty rows are pairwise equal or disjoint as column sets.
-
-    Equivalent to the absence of right triangles; the two predicates are kept
-    separate and cross-checked exhaustively in the tests.
-    """
-    rows = [t.row(x) for x in range(t.n1)]
-    for i, r in enumerate(rows):
-        if not r:
-            continue
-        for s in rows[i + 1:]:
-            if s and r & s and r != s:
-                return False
-    return True
-
-
-def saturate(t: Tableau) -> Tableau:
-    """Least right-triangle-free superset.
-
-    Repeatedly completes rectangles missing one corner, which amounts to
-    unioning intersecting rows until they are equal.
-    """
-    rows = [t.row(x) for x in range(t.n1)]
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(rows)):
-            if not rows[i]:
-                continue
-            for j in range(i + 1, len(rows)):
-                if rows[j] and rows[i] & rows[j] and rows[i] != rows[j]:
-                    union = rows[i] | rows[j]
-                    rows[i] = union
-                    rows[j] = union
-                    changed = True
-    mask = 0
-    for x, r in enumerate(rows):
-        mask |= r << (x * t.n2)
-    return Tableau(t.n1, t.n2, mask)
 
 
 def _surjective_block(n: int, m: int) -> int:
@@ -247,17 +133,3 @@ def count_constrained(z: FinalZone) -> int:
         count -= count_rtf_pinned(*corner) * count_rtf(*other)
     return count
 
-
-def render_tableau(t: Tableau, z: FinalZone | None = None) -> str:
-    """ASCII grid, crosses for cells and dots elsewhere; zone cells bracketed."""
-    if z is not None:
-        _check_dims(t, z)
-    lines = []
-    for x in range(t.n1):
-        parts = []
-        for y in range(t.n2):
-            mark = "×" if t.has_cell(x, y) else "·"
-            in_zone = z is not None and bool(z.zone >> cell_bit(x, y, t.n2) & 1)
-            parts.append(f"[{mark}]" if in_zone else f" {mark} ")
-        lines.append("".join(parts))
-    return "\n".join(lines)

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .automata import Dfa
 from .modifiers import DEFAULT_STATE_CAP
 from .monsters import PairLetter
@@ -52,31 +54,14 @@ def sigma_prime(n1: int, n2: int) -> WitnessAlphabet:
 
 def witness_pair(n1: int, n2: int) -> tuple[Dfa, Dfa]:
     """The 17-letter automata: finals {n1-1} on the first, {0} on the second."""
-    alphabet = sigma_prime(n1, n2)
-    labels = tuple(letter.render() for letter in alphabet.letters)
-    first = Dfa(
-        len(alphabet.letters),
-        n1,
-        0,
-        frozenset({n1 - 1}),
-        tuple(
-            tuple(letter.first(q) for letter in alphabet.letters)
-            for q in range(n1)
-        ),
-        labels,
+    letters = sigma_prime(n1, n2).letters
+    labels = tuple(letter.render() for letter in letters)
+    first = np.column_stack([letter.first.images for letter in letters])
+    second = np.column_stack([letter.second.images for letter in letters])
+    return (
+        Dfa(len(letters), n1, 0, frozenset({n1 - 1}), first, labels),
+        Dfa(len(letters), n2, 0, frozenset({0}), second, labels),
     )
-    second = Dfa(
-        len(alphabet.letters),
-        n2,
-        0,
-        frozenset({0}),
-        tuple(
-            tuple(letter.second(q) for letter in alphabet.letters)
-            for q in range(n2)
-        ),
-        labels,
-    )
-    return first, second
 
 
 def verify_witness(

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 
 from starxor import (
@@ -11,6 +12,7 @@ from starxor import (
     MonsterSpec,
     accepts,
     count_constrained,
+    enumerate_all,
     final_zone,
     monster2,
 )
@@ -301,26 +303,63 @@ def signature_refinement(a: Dfa) -> tuple[int, ...]:
         color, count = refined, len(ids)
 
 
+def _rows(mask: int, n1: int, n2: int) -> list[int]:
+    width = (1 << n2) - 1
+    return [mask >> (x * n2) & width for x in range(n1)]
+
+
+def rows_equal_or_disjoint(mask: int, n1: int, n2: int) -> bool:
+    """Are the rows of a row-major n1 x n2 mask pairwise equal or disjoint as column sets?
+
+    This is right-triangle freedom; criterion 5 checks the equivalence with
+    has_right_triangle on every shape of at most 12 cells.
+    """
+    rows = _rows(mask, n1, n2)
+    return all(r == s or not r & s for i, r in enumerate(rows) for s in rows[i + 1:])
+
+
+def has_right_triangle(mask: int, n1: int, n2: int) -> bool:
+    """Does some axis-aligned rectangle meet the mask in exactly three corners?"""
+
+    def cell(x: int, y: int) -> int:
+        return mask >> (x * n2 + y) & 1
+
+    return any(
+        cell(x1, y1) + cell(x1, y2) + cell(x2, y1) + cell(x2, y2) == 3
+        for x1, x2 in itertools.combinations(range(n1), 2)
+        for y1, y2 in itertools.combinations(range(n2), 2)
+    )
+
+
+def saturate_mask(mask: int, n1: int, n2: int) -> int:
+    """Least right-triangle-free superset of a row-major mask.
+
+    Completing a rectangle that misses one corner amounts to unioning two
+    intersecting rows, so rows are unioned pairwise until no two differ and
+    intersect.
+    """
+    rows = _rows(mask, n1, n2)
+    changed = True
+    while changed:
+        changed = False
+        for i, j in itertools.combinations(range(n1), 2):
+            if rows[i] & rows[j] and rows[i] != rows[j]:
+                rows[i] = rows[j] = rows[i] | rows[j]
+                changed = True
+    return sum(r << (x * n2) for x, r in enumerate(rows))
+
+
 def count_rtf_exhaustive(x: int, y: int, pinned: bool) -> int:
     """Right-triangle-free tableaux on an x by y grid, by trying all 2^(x*y) masks.
 
-    The reference for the library's closed-form counts. A tableau is
-    right-triangle free when its nonempty rows are pairwise equal or disjoint;
-    pinned counts only tableaux holding the corner cell (0, 0).
+    The reference for the library's closed-form counts; pinned counts only
+    tableaux holding the corner cell (0, 0).
     """
-    width = (1 << y) - 1
-    count = 0
-    for mask in range(1 << (x * y)):
-        if pinned and not mask & 1:
-            continue
-        rows = [mask >> (i * y) & width for i in range(x)]
-        if all(
-            not r or not s or r == s or not r & s
-            for i, r in enumerate(rows)
-            for s in rows[i + 1:]
-        ):
-            count += 1
-    return count
+    return sum(
+        1
+        for mask in range(1 << (x * y))
+        if (mask & 1 or not pinned) and rows_equal_or_disjoint(mask, x, y)
+    )
 
 
 def count_constrained_exhaustive(z) -> int:
@@ -329,19 +368,31 @@ def count_constrained_exhaustive(z) -> int:
     The reference for the library's closed-form count_constrained; tries all
     2^(n1*n2) masks of the zone's grid.
     """
-    width = (1 << z.n2) - 1
-    count = 0
-    for mask in range(1 << (z.n1 * z.n2)):
-        if mask & z.zone and not mask & 1:
-            continue
-        rows = [mask >> (i * z.n2) & width for i in range(z.n1)]
-        if all(
-            not r or not s or r == s or not r & s
-            for i, r in enumerate(rows)
-            for s in rows[i + 1:]
-        ):
-            count += 1
-    return count
+    return sum(
+        1
+        for mask in range(1 << (z.n1 * z.n2))
+        if (mask & 1 or not mask & z.zone) and rows_equal_or_disjoint(mask, z.n1, z.n2)
+    )
+
+
+def monster_reference(spec: MonsterSpec) -> tuple[Dfa, ...]:
+    """monster()'s automata, built letter by letter from tuples of transformations."""
+    letters = list(itertools.product(*(enumerate_all(n) for n in spec.sizes)))
+    if len(spec.sizes) == 1:
+        labels = tuple(combo[0].render() for combo in letters)
+    else:
+        labels = tuple("(" + ",".join(t.render() for t in combo) + ")" for combo in letters)
+    return tuple(
+        Dfa(
+            len(letters),
+            n,
+            0,
+            spec.finals[coord],
+            tuple(tuple(combo[coord](q) for combo in letters) for q in range(n)),
+            labels,
+        )
+        for coord, n in enumerate(spec.sizes)
+    )
 
 
 def final_sets(n: int) -> list[tuple[int, ...]]:

@@ -20,18 +20,13 @@ import helpers
 
 from starxor import (
     MonsterSpec,
-    Tableau,
     check_1_uniformity,
     final_zone,
-    has_right_triangle,
-    is_accessible_state,
     minimize,
     monster2,
     nerode_partition,
     predicted_complexity,
     preimage_by_renaming,
-    rows_equal_or_disjoint,
-    saturate,
     star_modifier,
     stx,
     verify_witness,
@@ -133,12 +128,12 @@ def test_criterion_4_saturation_classes_are_language_classes(capsys):
         first, second = _target_monsters(n1, n2)
         s = stx(first, second)
         part = nerode_partition(s)
-        seed = Tableau(n1, n2, 1 << cell_bit(first.initial, second.initial, n2))
-        empty_key = saturate(seed).cells if _seed_in_zone(first, second) else 0
+        seed = 1 << cell_bit(first.initial, second.initial, n2)
+        empty_key = helpers.saturate_mask(seed, n1, n2) if _seed_in_zone(first, second) else 0
         sat_keys = set()
         merged_blocks = {}
         for q, mask in enumerate(s.state_masks):
-            key = saturate(Tableau(n1, n2, mask)).cells
+            key = helpers.saturate_mask(mask, n1, n2)
             sat_keys.add(key)
             merged_blocks.setdefault(key if mask else empty_key, set()).add(q)
         merged_partition = {frozenset(b) for b in merged_blocks.values()}
@@ -166,8 +161,8 @@ def test_criterion_5_triangle_freedom_is_row_compatibility(capsys):
             if n1 * n2 > 12:
                 continue
             for mask in range(1 << (n1 * n2)):
-                t = Tableau(n1, n2, mask)
-                if has_right_triangle(t) == rows_equal_or_disjoint(t):
+                rtf = helpers.rows_equal_or_disjoint(mask, n1, n2)
+                if helpers.has_right_triangle(mask, n1, n2) == rtf:
                     ok = False
                 checked += 1
     assert _report(
@@ -189,7 +184,7 @@ def test_criterion_6_reachable_states_are_the_seeded_tableaux(capsys):
         predicted = {
             mask
             for mask in range(1 << (n1 * n2))
-            if is_accessible_state(Tableau(n1, n2, mask), z)
+            if mask & 1 or not mask & z.zone
         }
         ok = ok and set(s.state_masks) == predicted
         pieces.append(f"({n1},{n2}) reachable={len(s.state_masks)}")

@@ -66,6 +66,7 @@ def test_validation_catches_shape_errors():
         [3, 0, 3, 0],
         np.array([0, 3], dtype=np.int64),
         np.array([3, 0, 0], dtype=np.uint8),
+        np.array([3, 0, 3, 3, 0], dtype=np.int64),
     ],
 )
 def test_finals_are_a_sorted_read_only_int32_array(finals):

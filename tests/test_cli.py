@@ -162,3 +162,28 @@ def test_usage_errors_exit_2_before_any_work(argv, tmp_path, capsys):
     assert len(captured.err.splitlines()) == 1
     assert captured.err.startswith(f"{argv[0]} error: ")
     assert not missing.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sc", "--n1", "2", "--n2", "2", "--jobs", "2"],
+        ["verify-figures", "--jobs", "2"],
+        ["verify-figures", "--cap-states", "5"],
+        ["verify-figures", "--cap-letters", "5"],
+        ["export", "--what", "alpha-table", "--format", "csv", "--out", "{out}", "--jobs", "2"],
+        ["export", "--what", "alpha-table", "--format", "csv", "--out", "{out}", "--cap-states", "5"],
+        ["export", "--what", "alpha-table", "--format", "csv", "--out", "{out}", "--cap-letters", "5"],
+    ],
+    ids=[
+        "sc-jobs", "figures-jobs", "figures-cap-states", "figures-cap-letters",
+        "export-jobs", "export-cap-states", "export-cap-letters",
+    ],
+)
+def test_options_a_subcommand_would_ignore_are_rejected(argv, tmp_path, capsys):
+    out = tmp_path / "alpha.csv"
+    with pytest.raises(SystemExit) as exc:
+        main([a.format(out=out) for a in argv])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not out.exists()

@@ -92,6 +92,27 @@ def test_generic_arity():
     assert [letter_index(spec, combo) for combo in letters] == list(range(64))
 
 
+@pytest.mark.parametrize(
+    "sizes", [(1,), (2,), (3,), (4,), (2, 2), (2, 3), (3, 3), (4, 3), (2, 2, 2)]
+)
+def test_monster_equals_the_letter_by_letter_build(sizes):
+    spec = MonsterSpec(sizes, tuple(frozenset({n - 1}) for n in sizes))
+    built, reference = monster(spec), helpers.monster_reference(spec)
+    assert built == reference
+    assert [m.letter_labels for m in built] == [m.letter_labels for m in reference]
+
+
+def test_letter_index_on_sampled_letters_of_the_4_4_monster():
+    spec = MonsterSpec.pair(4, 4, {3}, {0})
+    m1, m2 = monster2(spec)
+    assert m1.letter_count == 65536
+    for j in random.Random(44).sample(range(65536), 25) + [0, 65535]:
+        first = Transformation(4, tuple(m1.delta[:, j].tolist()))
+        second = Transformation(4, tuple(m2.delta[:, j].tolist()))
+        assert letter_index(spec, PairLetter(first, second)) == j
+        assert m1.letter_labels[j] == PairLetter(first, second).render()
+
+
 def test_letter_cap():
     with pytest.raises(LimitExceeded):
         monster(MonsterSpec.pair(5, 5, {0}, {0}))

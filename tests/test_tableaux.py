@@ -1,4 +1,8 @@
-"""Tableau predicates, saturation, and the counting machinery."""
+"""Tableau oracles, saturation, and the counting machinery.
+
+Tableaux are row-major int masks; the predicates and saturation are the
+oracles in helpers.
+"""
 
 import itertools
 
@@ -7,25 +11,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
+from helpers import has_right_triangle, rows_equal_or_disjoint, saturate_mask
 from starxor import (
     MonsterSpec,
-    Tableau,
     count_constrained,
     count_rtf,
     count_rtf_pinned,
     final_zone,
-    has_right_triangle,
-    is_accessible_state,
-    is_final,
     monster2,
     nerode_partition,
     predicted_complexity,
-    render_tableau,
-    rows_equal_or_disjoint,
-    saturate,
     stx,
 )
 from starxor.tableaux import _count_profile, cell_bit
+
+
+def cells_mask(n2, cells):
+    return sum(1 << cell_bit(x, y, n2) for x, y in cells)
 
 
 @st.composite
@@ -33,7 +35,7 @@ def tableaux(draw, max_side=4):
     n1 = draw(st.integers(0, max_side))
     n2 = draw(st.integers(0, max_side))
     mask = draw(st.integers(0, (1 << (n1 * n2)) - 1))
-    return Tableau(n1, n2, mask)
+    return n1, n2, mask
 
 
 def test_cell_bit_is_row_major():
@@ -42,28 +44,12 @@ def test_cell_bit_is_row_major():
     assert cell_bit(2, 1, 3) == 7
 
 
-def test_tableau_accessors():
-    t = Tableau.from_cells(2, 3, [(0, 1), (1, 2)])
-    assert t.cells == (1 << 1) | (1 << 5)
-    assert t.has_cell(0, 1) and not t.has_cell(1, 1)
-    assert t.row(0) == 0b010 and t.row(1) == 0b100
-    assert t.cell_list() == ((0, 1), (1, 2))
-
-
-def test_tableau_validation():
-    with pytest.raises(ValueError):
-        Tableau(2, 2, 1 << 4)
-    with pytest.raises(ValueError):
-        Tableau.from_cells(2, 2, [(2, 0)])
-
-
 def test_final_zone_is_the_exclusive_or_of_bands():
     z = final_zone(2, 2, {1}, {0})
     assert z.zone == 0b1001  # cells (0,0) and (1,1)
     for x in range(2):
         for y in range(2):
-            t = Tableau.from_cells(2, 2, [(x, y)])
-            assert is_final(t, z) == ((x in {1}) != (y in {0}))
+            assert bool(z.zone >> cell_bit(x, y, 2) & 1) == ((x in {1}) != (y in {0}))
 
 
 def test_final_zone_validates_ranges():
@@ -71,77 +57,62 @@ def test_final_zone_validates_ranges():
         final_zone(2, 2, {2}, set())
 
 
-def test_dimension_mismatch_is_rejected():
-    t = Tableau(2, 2, 0)
-    z = final_zone(2, 3, {1}, {0})
-    with pytest.raises(ValueError):
-        is_final(t, z)
-    with pytest.raises(ValueError):
-        is_accessible_state(t, z)
-    with pytest.raises(ValueError):
-        render_tableau(t, z)
-
-
 def test_accessibility_predicate():
-    z = final_zone(2, 2, {1}, {0})
-    assert is_accessible_state(Tableau(2, 2, 0), z)
-    assert is_accessible_state(Tableau.from_cells(2, 2, [(0, 1)]), z)
-    assert is_accessible_state(Tableau.from_cells(2, 2, [(0, 0), (1, 1)]), z)
-    assert not is_accessible_state(Tableau.from_cells(2, 2, [(1, 1)]), z)
+    # hand-picked cases of criterion 6: touching the zone needs the corner
+    s = stx(*monster2(MonsterSpec.pair(2, 2, {1}, {0})))
+    reachable = set(s.state_masks.tolist())
+    assert {0, cells_mask(2, [(0, 1)]), cells_mask(2, [(0, 0), (1, 1)])} <= reachable
+    assert cells_mask(2, [(1, 1)]) not in reachable
 
 
 def test_right_triangle_detection():
-    three_corners = Tableau.from_cells(2, 2, [(0, 0), (0, 1), (1, 0)])
-    assert has_right_triangle(three_corners)
-    assert not rows_equal_or_disjoint(three_corners)
-    rectangle = Tableau.from_cells(2, 2, [(0, 0), (0, 1), (1, 0), (1, 1)])
-    assert not has_right_triangle(rectangle)
-    assert rows_equal_or_disjoint(rectangle)
-    single_row = Tableau.from_cells(1, 4, [(0, 0), (0, 2)])
-    assert not has_right_triangle(single_row)
+    three_corners = cells_mask(2, [(0, 0), (0, 1), (1, 0)])
+    assert has_right_triangle(three_corners, 2, 2)
+    assert not rows_equal_or_disjoint(three_corners, 2, 2)
+    assert not has_right_triangle(0b1111, 2, 2)
+    assert rows_equal_or_disjoint(0b1111, 2, 2)
+    assert not has_right_triangle(cells_mask(4, [(0, 0), (0, 2)]), 1, 4)
 
 
 def test_the_two_rtf_predicates_agree_exhaustively():
     for n1, n2 in [(1, 1), (2, 2), (2, 3), (3, 2), (3, 3), (2, 4)]:
         for mask in range(1 << (n1 * n2)):
-            t = Tableau(n1, n2, mask)
-            assert has_right_triangle(t) == (not rows_equal_or_disjoint(t)), t
+            assert has_right_triangle(mask, n1, n2) == (not rows_equal_or_disjoint(mask, n1, n2))
 
 
 def test_saturate_completes_rectangles():
-    t = Tableau.from_cells(2, 2, [(0, 0), (0, 1), (1, 0)])
-    assert saturate(t).cells == 0b1111
-    chain = Tableau.from_cells(3, 3, [(0, 0), (1, 0), (1, 1), (2, 1)])
-    assert saturate(chain) == Tableau.from_cells(
-        3, 3, [(x, y) for x in range(3) for y in range(2)]
-    )
+    assert saturate_mask(cells_mask(2, [(0, 0), (0, 1), (1, 0)]), 2, 2) == 0b1111
+    chain = cells_mask(3, [(0, 0), (1, 0), (1, 1), (2, 1)])
+    assert saturate_mask(chain, 3, 3) == cells_mask(3, [(x, y) for x in range(3) for y in range(2)])
 
 
 @settings(max_examples=200, deadline=None)
 @given(tableaux())
 def test_saturate_is_an_rtf_closure(t):
-    s = saturate(t)
-    assert s.cells & t.cells == t.cells  # extensive
-    assert rows_equal_or_disjoint(s)
-    assert saturate(s) == s  # idempotent
-    if rows_equal_or_disjoint(t):
-        assert s == t
+    n1, n2, mask = t
+    s = saturate_mask(mask, n1, n2)
+    assert s & mask == mask  # extensive
+    assert rows_equal_or_disjoint(s, n1, n2)
+    assert saturate_mask(s, n1, n2) == s  # idempotent
+    if rows_equal_or_disjoint(mask, n1, n2):
+        assert s == mask
 
 
 @settings(max_examples=200, deadline=None)
 @given(tableaux(max_side=3), st.data())
 def test_saturate_is_monotone(t, data):
-    bigger = Tableau(t.n1, t.n2, t.cells | data.draw(st.integers(0, (1 << (t.n1 * t.n2)) - 1)))
-    small, large = saturate(t), saturate(bigger)
-    assert small.cells & large.cells == small.cells
+    n1, n2, mask = t
+    bigger = mask | data.draw(st.integers(0, (1 << (n1 * n2)) - 1))
+    small, large = saturate_mask(mask, n1, n2), saturate_mask(bigger, n1, n2)
+    assert small & large == small
 
 
 def test_saturation_preserves_zone_freedom_and_the_corner():
     z = final_zone(3, 3, {2}, {0})
     for mask in range(1 << 9):
-        t = Tableau(3, 3, mask)
-        if is_accessible_state(t, z):
-            assert is_accessible_state(saturate(t), z)
+        if mask & 1 or not mask & z.zone:
+            s = saturate_mask(mask, 3, 3)
+            assert s & 1 or not s & z.zone
 
 
 def test_count_values_from_exhaustive_enumeration():
@@ -239,7 +210,7 @@ def test_equal_saturation_implies_language_equivalence():
         part = nerode_partition(s)
         by_saturation = {}
         for q, mask in enumerate(s.state_masks):
-            key = saturate(Tableau(n1, n2, mask)).cells
+            key = saturate_mask(mask, n1, n2)
             by_saturation.setdefault(key, set()).add(part.class_of[q])
         for key, classes in by_saturation.items():
             assert len(classes) == 1, f"saturation {key} spans classes {classes}"
@@ -255,7 +226,7 @@ def test_language_partition_merges_exactly_the_empty_and_seed_states():
         part = nerode_partition(s)
         sat_blocks = {}
         for q, mask in enumerate(s.state_masks):
-            key = saturate(Tableau(n1, n2, mask)).cells
+            key = saturate_mask(mask, n1, n2)
             sat_blocks.setdefault(key, set()).add(q)
         sat_partition = {frozenset(b) for b in sat_blocks.values()}
         nerode_blocks = {frozenset(b) for b in part.blocks()}
@@ -287,29 +258,21 @@ def test_transition_compatibility_with_single_closure_steps():
         extra = b_mask & ~a_mask
         if b_mask | a_mask != b_mask or bin(extra).count("1") != 1:
             return False
-        t1 = Tableau(n1, n2, a_mask)
         x2, y2 = divmod(extra.bit_length() - 1, n2)
-        return any(
-            t1.has_cell(x2, y) and t1.has_cell(x, y2) and t1.has_cell(x, y)
+        corners = (
+            cells_mask(n2, [(x2, y), (x, y2), (x, y)])
             for x in range(n1)
             for y in range(n2)
             if x != x2 and y != y2
         )
+        return any(a_mask & c == c for c in corners)
 
     for a_mask in range(16):
         for b_mask in range(16):
             if not one_step(a_mask, b_mask):
                 continue
-            za = is_final(Tableau(n1, n2, a_mask), z)
-            zb = is_final(Tableau(n1, n2, b_mask), z)
-            assert za == zb, (a_mask, b_mask)
+            assert bool(a_mask & z.zone) == bool(b_mask & z.zone), (a_mask, b_mask)
             for j in range(s.letter_count):
                 sa, sb = rows[a_mask][j], rows[b_mask][j]
                 assert sa == sb or one_step(sa, sb), (a_mask, b_mask, j)
 
-
-def test_render_marks_cells_and_zone():
-    t = Tableau.from_cells(2, 2, [(0, 0)])
-    z = final_zone(2, 2, {1}, {0})
-    assert render_tableau(t, z) == "[×] · \n · [·]"
-    assert render_tableau(t) == " ×  · \n ·  · "
