@@ -192,51 +192,66 @@ def nerode_partition(a: Dfa) -> NerodePartition:
     """Language-equivalence classes of the states, by iterated signature refinement.
 
     Meaningful as the Nerode partition when a is accessible; minimize() takes
-    care of that. Each round sorts the states once by their signature (own
-    colour, then the colour of each successor) with np.lexsort, and a class
-    break falls wherever two adjacent sorted signatures differ.
+    care of that. Each round writes every state's signature (own colour, then
+    the colour of each successor) as one row of bytes, in the narrowest
+    unsigned dtype that holds the colours and zero-padded to whole 8-byte
+    words. The states are sorted once on those words with np.lexsort, and a
+    class break falls wherever two adjacent sorted rows differ. Equal words
+    are equal signatures, so the refinement is exact.
     """
     n, width = a.state_count, a.letter_count
-    # colours are always 0..count-1, so they index the final renumbering
+    # colours are always 0..count-1
     count = 2 if 0 < len(a.finals) < n else 1
-    # rows 0..width-1 are the successors' colours, row width the own colour;
-    # lexsort takes its last row as the primary key
-    sig = np.zeros((width + 1, n), dtype=np.int32)
-    color = sig[width]
+    color = np.zeros(n, dtype=np.int32)
     if count == 2:
         color[a.finals] = 1
-    # delta is transposed one row block of at most BLOCK_ENTRIES bytes at a
-    # time, so that sig is the only table-sized array made here
-    step = block_rows(4 * width)
+    # np.take makes an intp copy of each int32 index block, so blocks are
+    # sized to keep that copy within BLOCK_ENTRIES bytes; it gathers into a
+    # fresh contiguous block, which is faster than into the strided rows
+    step = block_rows(8 * width)
+    table = None
     while True:
+        # uint8, uint16 or uint32: the narrowest that holds colour count - 1
+        dtype = np.min_scalar_type(count - 1)
+        words = -(-(width + 1) * dtype.itemsize // 8)
+        if table is None or table.shape[1] != words:
+            # the last round's table is freed before the new one is made
+            table = rows = None
+            table = np.empty((n, words), dtype=np.uint64)
+        rows = table.view(dtype)
+        # pad bytes are part of every sort key, and np.empty leaves them unset
+        rows[:, width + 1:] = 0
+        narrow = color.astype(dtype)
+        rows[:, 0] = narrow
         for lo in range(0, n, step):
-            block = np.ascontiguousarray(a.delta[lo:lo + step].T)
-            for j in range(width):
-                np.take(color, block[j], out=sig[j, lo:lo + step], mode="clip")
-            del block
-        order = np.lexsort(sig)
+            rows[lo:lo + step, 1:width + 1] = np.take(narrow, a.delta[lo:lo + step], mode="clip")
+        del narrow
+        # lexsort takes its last key as the primary one
+        order = np.lexsort(table.T)
         breaks = np.zeros(n - 1, dtype=bool)
-        for key in sig:
+        for key in table.T:
             ranked = key[order]
             breaks |= ranked[1:] != ranked[:-1]
-        del ranked
+        # key is a view that would keep the table alive past a widening
+        del key, ranked
         new_count = int(breaks.sum()) + 1
         if new_count == count:
             break
-        # the new colours overwrite the own-colour row in place
         color[order[0]] = 0
         color[order[1:]] = np.cumsum(breaks, dtype=np.int32)
         count = new_count
-        # freed before the next fill, which then runs beside sig alone
+        # freed before the next fill, which then runs beside the table alone
         del order, breaks
-    # each colour c is now the c-th run of the sorted order, and lexsort is
-    # stable, so the run starts at the class's least state
-    first = np.empty(count, dtype=np.intp)
-    first[0] = order[0]
-    first[1:] = order[1:][breaks]
+    del table, rows
+    # the runs of the sorted order are the classes, though not in colour
+    # order, and lexsort is stable, so each run starts at its least state
+    firsts = np.empty(count, dtype=np.intp)
+    firsts[0] = order[0]
+    firsts[1:] = order[1:][breaks]
+    firsts.sort()
     # renumber the classes by first occurrence in state order
     rank = np.empty(count, dtype=np.int32)
-    rank[np.argsort(first)] = np.arange(count, dtype=np.int32)
+    rank[color[firsts]] = np.arange(count, dtype=np.int32)
     class_of = rank[color]
     class_of.flags.writeable = False
     return NerodePartition(class_of, count)
@@ -249,14 +264,18 @@ def minimize(a: Dfa) -> Dfa:
     if part.class_count == acc.state_count:
         return acc
     # classes are numbered by first occurrence, so each one's first state
-    # represents it
-    _, reps = np.unique(part.class_of, return_index=True)
+    # represents it: the states whose class is above every class before them
+    class_of = part.class_of
+    is_rep = np.empty(acc.state_count, dtype=bool)
+    is_rep[0] = True
+    np.greater(class_of[1:], np.maximum.accumulate(class_of[:-1]), out=is_rep[1:])
+    reps = np.flatnonzero(is_rep)
     return Dfa(
         acc.letter_count,
         part.class_count,
-        part.class_of[acc.initial],
-        part.class_of[acc.finals],
-        part.class_of[acc.delta[reps]],
+        class_of[acc.initial],
+        class_of[acc.finals],
+        class_of[acc.delta[reps]],
         acc.letter_labels,
     )
 

@@ -264,6 +264,11 @@ def test_minimize_matches_the_pair_marking_oracle(a):
     assert m.state_count == helpers.distinguishable_classes(a)
     assert is_equivalent(m, a)
     assert nerode_partition(m).class_count == m.state_count
+    # each class's row comes from its first state in the accessible part
+    acc = accessible_part(a)
+    class_of = nerode_partition(acc).class_of
+    _, reps = np.unique(class_of, return_index=True)
+    assert np.array_equal(m.delta, class_of[acc.delta[reps]])
 
 
 @settings(max_examples=150, deadline=None)
@@ -283,7 +288,7 @@ def test_nerode_partition_matches_the_signature_oracle(a, block_entries):
 
 @pytest.mark.parametrize("block_entries", [1, 7, 40, 1000])
 def test_nerode_partition_in_small_fill_blocks(monkeypatch, block_entries):
-    # 17 letters: one row per fill block up to 40 entries, 14 rows at 1000
+    # 17 letters: one row per fill block up to 40 entries, 7 rows at 1000
     subsets = [stx(*witness_pair(n1, n2)) for n1, n2 in [(3, 3), (4, 3)]]
     expected = [nerode_partition(s).class_of.tolist() for s in subsets]
     monkeypatch.setattr(automata, "BLOCK_ENTRIES", block_entries)
@@ -293,16 +298,18 @@ def test_nerode_partition_in_small_fill_blocks(monkeypatch, block_entries):
 
 
 def test_nerode_partition_keeps_no_second_table():
-    # witness (4,4): 33,792 states over 17 letters. Beside sig, the
-    # (letters + 1, states) int32 signature table, refinement may hold one
-    # fill block: a transposed row block of delta and the intp index np.take
-    # makes of one of its rows; 64 KiB covers the interpreter's own objects.
-    # A transposed copy of all of delta is 2.3 MB and does not fit.
+    # witness (4,4): 33,792 states over 17 letters, 848 classes. Beside the
+    # byte-row table (18 uint16 colours a row, padded to five 8-byte words)
+    # and the int32 and uint16 colour arrays, refinement may hold one fill
+    # block: the intp copy np.take makes of a row block of delta and the
+    # uint16 colours gathered from it; 64 KiB covers the interpreter's own
+    # objects. A second table, such as the rows gathered in sorted order
+    # (1.35 MB) or an intp copy of delta (4.6 MB), does not fit.
     acc = stx(*witness_pair(4, 4))
     n, width = acc.state_count, acc.letter_count
-    rows = automata.block_rows(4 * width)
+    rows = automata.block_rows(8 * width)
     assert (n, width) == (33792, 17) and rows < n
-    bound = (width + 1) * n * 4 + rows * (width * 4 + 8) + 2**16
+    bound = n * 5 * 8 + n * (4 + 2) + rows * width * (8 + 2) + 2**16
     tracemalloc.start()
     try:
         part = nerode_partition(acc)
@@ -311,6 +318,68 @@ def test_nerode_partition_keeps_no_second_table():
         tracemalloc.stop()
     assert part.class_count == 848
     assert peak < bound
+
+
+def shift_register(bits: int, copies: int = 1) -> Dfa:
+    """copies disjoint copies of q -> 2q + b mod 2**bits over b in {0, 1},
+    final where the top bit is set; copy c holds states c * 2**bits + q."""
+    size = 1 << bits
+    q = np.arange(copies * size)
+    low = q % size
+    delta = np.stack([q - low + (2 * low + b) % size for b in (0, 1)], axis=1)
+    return Dfa(2, copies * size, 0, np.flatnonzero(low >= size // 2), delta)
+
+
+@pytest.mark.parametrize("copies", [1, 2])
+def test_nerode_partition_past_uint16_colours(copies):
+    # one copy is minimal: the rounds run 2, 4, ..., 2**17 colours, so the
+    # rows are uint8, then uint16 and, at 2**17 colours, uint32 in two words;
+    # with two copies each state shares its class with its twin
+    part = nerode_partition(shift_register(17, copies))
+    assert part.class_count == 2**17
+    assert np.array_equal(part.class_of, np.tile(np.arange(2**17), copies))
+
+
+def _random_dfa(n: int, width: int, seed: int) -> Dfa:
+    rng = np.random.default_rng(seed)
+    return Dfa(width, n, 0, np.flatnonzero(rng.random(n) < 0.5), rng.integers(0, n, (n, width)))
+
+
+@pytest.mark.parametrize(
+    "make, min_classes",
+    [
+        # 4 letters: a row is 5 uint8 colours and 3 pad bytes in one word
+        # until the colours pass 256, then 10 uint16 colours and 6 pad bytes
+        # in two words
+        (lambda: _random_dfa(1500, 4, seed=16), 257),
+        # 729 letters: 730 uint8 colours in 92 words, and past 256 colours
+        # 730 uint16 colours in 183 words
+        (lambda: stx(*monster2(MonsterSpec.pair(3, 3, {2}, {0}))), 1),
+        (lambda: _random_dfa(300, 729, seed=729), 257),
+    ],
+    ids=["widening-4-letters", "monster-3-3", "widening-729-letters"],
+)
+def test_nerode_partition_matches_the_oracle_across_row_layouts(make, min_classes):
+    a = make()
+    part = nerode_partition(a)
+    assert part.class_count >= min_classes
+    assert part.class_of.tolist() == list(helpers.signature_refinement(a))
+
+
+@pytest.mark.parametrize(
+    "a, classes",
+    [
+        (Dfa(0, 3, 0, {1}, np.zeros((3, 0), dtype=np.int32)), [0, 1, 0]),
+        (Dfa(0, 1, 0, (), np.zeros((1, 0), dtype=np.int32)), [0]),
+        (Dfa(1, 1, 0, {0}, ((0,),)), [0]),
+        (Dfa(2, 3, 1, {0, 1, 2}, ((1, 2), (2, 0), (0, 0))), [0, 0, 0]),
+    ],
+    ids=["no-letters", "no-letters-one-state", "one-state", "all-final"],
+)
+def test_nerode_partition_edge_cases(a, classes):
+    part = nerode_partition(a)
+    assert part.class_of.tolist() == classes == list(helpers.signature_refinement(a))
+    assert part.class_count == max(classes) + 1
 
 
 @settings(max_examples=100, deadline=None)
