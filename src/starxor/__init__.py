@@ -4,7 +4,6 @@ from .automata import (
     Dfa,
     NerodePartition,
     accessible_part,
-    accepts,
     export_dot,
     export_json,
     import_json,
@@ -12,7 +11,6 @@ from .automata import (
     minimize,
     nerode_partition,
     preimage_by_renaming,
-    run,
 )
 from .modifiers import (
     DEFAULT_STATE_CAP,
@@ -26,7 +24,6 @@ from .monsters import (
     DEFAULT_LETTER_CAP,
     MonsterSpec,
     PairLetter,
-    letter_index,
     monster,
     monster1,
     monster2,
@@ -43,13 +40,12 @@ from .tableaux import (
 from .transforms import (
     LimitExceeded,
     Transformation,
-    compose,
     cycle,
     enumerate_all,
     identity,
     point_map,
 )
-from .witness import WitnessAlphabet, sigma_prime, verify_witness, witness_pair
+from .witness import sigma_prime, verify_witness, witness_pair
 
 __version__ = "0.1.0"
 
@@ -60,16 +56,13 @@ __all__ = [
     "Transformation",
     "MonsterSpec",
     "PairLetter",
-    "WitnessAlphabet",
     "FinalZone",
     "ExperimentReport",
     "LimitExceeded",
     "DEFAULT_STATE_CAP",
     "DEFAULT_LETTER_CAP",
     "accessible_part",
-    "accepts",
     "check_1_uniformity",
-    "compose",
     "count_constrained",
     "count_rtf",
     "count_rtf_pinned",
@@ -81,7 +74,6 @@ __all__ = [
     "identity",
     "import_json",
     "is_equivalent",
-    "letter_index",
     "minimize",
     "monster",
     "monster1",
@@ -90,7 +82,6 @@ __all__ = [
     "point_map",
     "predicted_complexity",
     "preimage_by_renaming",
-    "run",
     "sigma_prime",
     "star_modifier",
     "stx",

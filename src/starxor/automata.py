@@ -3,9 +3,8 @@
 from __future__ import annotations
 
 import json
-from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -108,12 +107,6 @@ class NerodePartition:
 
     class_of: np.ndarray
     class_count: int
-
-    def blocks(self) -> tuple[frozenset[int], ...]:
-        out: list[set[int]] = [set() for _ in range(self.class_count)]
-        for q, c in enumerate(self.class_of.tolist()):
-            out[c].add(q)
-        return tuple(frozenset(b) for b in out)
 
 
 # Frontier rows gathered per step of a breadth-first pass, as a bound on the
@@ -281,38 +274,21 @@ def minimize(a: Dfa) -> Dfa:
 
 
 def is_equivalent(a: Dfa, b: Dfa) -> bool:
-    """Language equality over a shared alphabet, by product exploration."""
+    """Language equality over a shared alphabet: equal canonical minimal DFAs.
+
+    minimize numbers the classes in breadth-first order from the initial
+    state, letters in index order, so two DFAs accept the same language
+    exactly when their minimized tables and finals are equal. Labels are
+    ignored.
+    """
     if a.letter_count != b.letter_count:
         raise ValueError("language comparison needs a common alphabet")
-    delta_a, delta_b = a.delta.tolist(), b.delta.tolist()
-    finals_a, finals_b = set(a.finals.tolist()), set(b.finals.tolist())
-    start = (a.initial, b.initial)
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        p, q = queue.popleft()
-        if (p in finals_a) != (q in finals_b):
-            return False
-        for j in range(a.letter_count):
-            nxt = (delta_a[p][j], delta_b[q][j])
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
-    return True
-
-
-def run(a: Dfa, word: Iterable[int]) -> int:
-    """State reached from the initial one on the given letter sequence."""
-    q = a.initial
-    for j in word:
-        if not 0 <= j < a.letter_count:
-            raise ValueError(f"letter {j} out of range")
-        q = a.delta.item(q, j)
-    return q
-
-
-def accepts(a: Dfa, word: Iterable[int]) -> bool:
-    return run(a, word) in a.finals
+    ma, mb = minimize(a), minimize(b)
+    return (
+        ma.state_count == mb.state_count
+        and np.array_equal(ma.finals, mb.finals)
+        and np.array_equal(ma.delta, mb.delta)
+    )
 
 
 def preimage_by_renaming(

@@ -141,8 +141,12 @@ def _check_usage(args: argparse.Namespace) -> None:
     if args.subcommand == "export" and min(args.max_x, args.max_y) < 0:
         raise ValueError("--max-x and --max-y must be at least 0")
     for path in (getattr(args, name, None) for name in ("report", "csv", "out")):
-        if path and not os.path.isdir(os.path.dirname(path) or "."):
+        if not path:
+            continue
+        if not os.path.isdir(os.path.dirname(path) or "."):
             raise ValueError(f"the directory of {path} does not exist")
+        if os.path.isdir(path):
+            raise ValueError(f"{path} is a directory, not a file")
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -166,8 +166,10 @@ def sweep_reports(
         (n1, n2, f1, f2, cap_states, cap_letters)
         for f1, f2 in representatives.values()
     ]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    # a fork pool starts all its workers at once, and one beyond the tasks would idle
+    workers = min(jobs, len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             sizes = list(pool.map(_sweep_one, tasks))
     else:
         sizes = [_sweep_one(t) for t in tasks]

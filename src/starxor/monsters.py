@@ -123,21 +123,3 @@ def monster2(
     pair = monster(spec, cap_letters)
     return pair[0], pair[1]
 
-
-def letter_index(spec: MonsterSpec, letter: PairLetter | Iterable[Transformation]) -> int:
-    """Rank of a shared-alphabet letter in the lexicographic enumeration."""
-    if isinstance(letter, PairLetter):
-        combo: tuple[Transformation, ...] = (letter.first, letter.second)
-    else:
-        combo = tuple(letter)
-    if len(combo) != len(spec.sizes):
-        raise ValueError("letter arity does not match spec.sizes")
-    index = 0
-    for t, n in zip(combo, spec.sizes):
-        if t.n != n:
-            raise ValueError(f"coordinate on {t.n} states where {n} expected")
-        rank = 0
-        for img in t.images:
-            rank = rank * n + img
-        index = index * transformation_count(n) + rank
-    return index

@@ -36,9 +36,6 @@ class Transformation:
     def __call__(self, q: int) -> int:
         return self.images[q]
 
-    def is_identity(self) -> bool:
-        return all(img == q for q, img in enumerate(self.images))
-
     def render(self) -> str:
         """Bracketed image list, digits juxtaposed while they stay single."""
         if self.n <= 10:
@@ -73,13 +70,6 @@ def point_map(n: int, a: int, b: int) -> Transformation:
     images = list(range(n))
     images[a] = b
     return Transformation(n, tuple(images))
-
-
-def compose(outer: Transformation, inner: Transformation) -> Transformation:
-    """outer after inner: q maps to outer(inner(q))."""
-    if outer.n != inner.n:
-        raise ValueError("composition needs a common domain")
-    return Transformation(outer.n, tuple(outer.images[q] for q in inner.images))
 
 
 def transformation_count(n: int) -> int:

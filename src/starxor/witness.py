@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .automata import Dfa
@@ -13,14 +11,7 @@ from .reports import ExperimentReport, size_report
 from .transforms import cycle, identity, point_map
 
 
-@dataclass(frozen=True)
-class WitnessAlphabet:
-    n1: int
-    n2: int
-    letters: tuple[PairLetter, ...]
-
-
-def sigma_prime(n1: int, n2: int) -> WitnessAlphabet:
+def sigma_prime(n1: int, n2: int) -> tuple[PairLetter, ...]:
     """Seventeen pair letters: five cycles, six transpositions, six point maps.
 
     The list is fixed for all sizes. Degenerate supports (empty or singleton)
@@ -49,12 +40,12 @@ def sigma_prime(n1: int, n2: int) -> WitnessAlphabet:
         (point_map(n1, n1 - 1, 0), two),
         (one, point_map(n2, n2 - 1, 0)),
     ]
-    return WitnessAlphabet(n1, n2, tuple(PairLetter(f, g) for f, g in raw))
+    return tuple(PairLetter(f, g) for f, g in raw)
 
 
 def witness_pair(n1: int, n2: int) -> tuple[Dfa, Dfa]:
     """The 17-letter automata: finals {n1-1} on the first, {0} on the second."""
-    letters = sigma_prime(n1, n2).letters
+    letters = sigma_prime(n1, n2)
     labels = tuple(letter.render() for letter in letters)
     first = np.column_stack([letter.first.images for letter in letters])
     second = np.column_stack([letter.second.images for letter in letters])

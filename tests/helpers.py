@@ -4,19 +4,90 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import deque
+from typing import Iterable
 
 from starxor import (
     DEFAULT_LETTER_CAP,
     DEFAULT_STATE_CAP,
     Dfa,
     MonsterSpec,
-    accepts,
+    NerodePartition,
+    PairLetter,
+    Transformation,
     count_constrained,
     enumerate_all,
     final_zone,
     monster2,
 )
 from starxor.reports import measure_stx, verdict
+from starxor.transforms import transformation_count
+
+
+def run(a: Dfa, word: Iterable[int]) -> int:
+    """State reached from the initial one on the given letter sequence."""
+    q = a.initial
+    for j in word:
+        if not 0 <= j < a.letter_count:
+            raise ValueError(f"letter {j} out of range")
+        q = a.delta.item(q, j)
+    return q
+
+
+def accepts(a: Dfa, word: Iterable[int]) -> bool:
+    return run(a, word) in a.finals
+
+
+def same_language(a: Dfa, b: Dfa) -> bool:
+    """Language equality over a shared alphabet, by product exploration.
+
+    The reference for is_equivalent, which compares minimal DFAs instead: a
+    breadth-first walk over reachable state pairs that fails at the first pair
+    whose finality differs.
+    """
+    assert a.letter_count == b.letter_count
+    delta_a, delta_b = a.delta.tolist(), b.delta.tolist()
+    finals_a, finals_b = set(a.finals.tolist()), set(b.finals.tolist())
+    start = (a.initial, b.initial)
+    seen = {start}
+    queue = deque([start])
+    while queue:
+        p, q = queue.popleft()
+        if (p in finals_a) != (q in finals_b):
+            return False
+        for j in range(a.letter_count):
+            nxt = (delta_a[p][j], delta_b[q][j])
+            if nxt not in seen:
+                seen.add(nxt)
+                queue.append(nxt)
+    return True
+
+
+def blocks(part: NerodePartition) -> tuple[frozenset[int], ...]:
+    """The classes of a partition as state sets, in class order."""
+    out: list[set[int]] = [set() for _ in range(part.class_count)]
+    for q, c in enumerate(part.class_of.tolist()):
+        out[c].add(q)
+    return tuple(frozenset(b) for b in out)
+
+
+def letter_index(spec: MonsterSpec, letter: PairLetter | Iterable[Transformation]) -> int:
+    """Rank of a shared-alphabet letter in the monsters' lexicographic enumeration."""
+    if isinstance(letter, PairLetter):
+        combo: tuple[Transformation, ...] = (letter.first, letter.second)
+    else:
+        combo = tuple(letter)
+    if len(combo) != len(spec.sizes):
+        raise ValueError("letter arity does not match spec.sizes")
+    index = 0
+    for t, n in zip(combo, spec.sizes):
+        if t.n != n:
+            raise ValueError(f"coordinate on {t.n} states where {n} expected")
+        rank = 0
+        for img in t.images:
+            rank = rank * n + img
+        index = index * transformation_count(n) + rank
+    return index
 
 
 def random_dfa(

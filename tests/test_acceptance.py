@@ -137,7 +137,7 @@ def test_criterion_4_saturation_classes_are_language_classes(capsys):
             sat_keys.add(key)
             merged_blocks.setdefault(key if mask else empty_key, set()).add(q)
         merged_partition = {frozenset(b) for b in merged_blocks.values()}
-        lang_partition = {frozenset(b) for b in part.blocks()}
+        lang_partition = {frozenset(b) for b in helpers.blocks(part)}
         ok = ok and merged_partition == lang_partition
         pieces.append(
             f"({n1},{n2}) language classes={len(lang_partition)}"

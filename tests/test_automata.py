@@ -13,7 +13,6 @@ import helpers
 from starxor import (
     Dfa,
     MonsterSpec,
-    accepts,
     accessible_part,
     export_dot,
     export_json,
@@ -23,7 +22,6 @@ from starxor import (
     monster2,
     nerode_partition,
     preimage_by_renaming,
-    run,
     stx,
     witness_pair,
 )
@@ -31,9 +29,10 @@ from starxor import automata
 
 
 @st.composite
-def dfas(draw, max_states=5, max_letters=3):
+def dfas(draw, max_states=5, max_letters=3, width=None):
     n = draw(st.integers(1, max_states))
-    width = draw(st.integers(1, max_letters))
+    if width is None:
+        width = draw(st.integers(1, max_letters))
     delta = tuple(
         tuple(draw(st.integers(0, n - 1)) for _ in range(width))
         for _ in range(n)
@@ -223,12 +222,12 @@ def test_accessible_part_makes_no_table_sized_temporary(monkeypatch):
 
 def test_run_and_accepts():
     a = Dfa(2, 2, 0, frozenset({1}), ((0, 1), (1, 0)))
-    assert run(a, ()) == 0
-    assert run(a, (1, 1)) == 0
-    assert accepts(a, (1,)) is True
-    assert accepts(a, (0,)) is False
+    assert helpers.run(a, ()) == 0
+    assert helpers.run(a, (1, 1)) == 0
+    assert helpers.accepts(a, (1,)) is True
+    assert helpers.accepts(a, (0,)) is False
     with pytest.raises(ValueError):
-        run(a, (2,))
+        helpers.run(a, (2,))
 
 
 def test_minimize_collapses_twin_states():
@@ -236,7 +235,7 @@ def test_minimize_collapses_twin_states():
     a = Dfa(1, 3, 0, frozenset({1, 2}), ((1,), (2,), (1,)))
     m = minimize(a)
     assert m.state_count == 2
-    assert is_equivalent(m, a)
+    assert helpers.same_language(m, a)
 
 
 def test_minimize_of_empty_and_full_languages():
@@ -253,7 +252,7 @@ def test_nerode_partition_respects_finality():
     finals_classes = {class_of[q] for q in finals}
     others = {class_of[q] for q in range(4) if q not in finals}
     assert finals_classes.isdisjoint(others)
-    blocks = part.blocks()
+    blocks = helpers.blocks(part)
     assert sum(len(b) for b in blocks) == 4
 
 
@@ -262,7 +261,7 @@ def test_nerode_partition_respects_finality():
 def test_minimize_matches_the_pair_marking_oracle(a):
     m = minimize(a)
     assert m.state_count == helpers.distinguishable_classes(a)
-    assert is_equivalent(m, a)
+    assert helpers.same_language(m, a)
     assert nerode_partition(m).class_count == m.state_count
     # each class's row comes from its first state in the accessible part
     acc = accessible_part(a)
@@ -388,7 +387,7 @@ def test_minimize_is_idempotent_in_size_and_language(a):
     m = minimize(a)
     again = minimize(m)
     assert again.state_count == m.state_count
-    assert is_equivalent(again, m)
+    assert helpers.same_language(again, m)
 
 
 def test_is_equivalent_requires_a_common_alphabet():
@@ -403,6 +402,59 @@ def test_is_equivalent_detects_differences():
     contains_1 = Dfa(2, 2, 0, frozenset({1}), ((0, 1), (1, 1)))
     assert not is_equivalent(ends_in_1, contains_1)
     assert is_equivalent(ends_in_1, minimize(ends_in_1))
+
+
+def renumbered(a: Dfa, perm: list[int]) -> Dfa:
+    """a with state q renamed perm[q]: the same automaton, other state numbers."""
+    perm = np.asarray(perm, dtype=np.int32)
+    delta = np.empty_like(a.delta)
+    delta[perm] = perm[a.delta]
+    return Dfa(a.letter_count, a.state_count, perm[a.initial], perm[a.finals], delta)
+
+
+@st.composite
+def renumberings(draw, max_states=6):
+    a = draw(dfas(max_states=max_states))
+    return a, draw(st.permutations(range(a.state_count)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(renumberings())
+def test_minimize_is_canonical_under_state_renumbering(case):
+    # is_equivalent rests on this: the minimal table does not depend on how
+    # the input numbers its states
+    a, perm = case
+    assert minimize(renumbered(a, perm)) == minimize(a)
+
+
+@st.composite
+def dfa_pairs(draw):
+    # unrelated pairs are almost always unequal, so a third of the pairs
+    # differ from a in one transition, and a third are a renumbered copy of a
+    # with twin states, which accepts the same language
+    a = draw(dfas(max_states=4))
+    n, width = a.state_count, a.letter_count
+    kind = draw(st.sampled_from(["unrelated", "one-transition", "twins"]))
+    if kind == "unrelated":
+        return a, draw(dfas(max_states=4, width=width))
+    if kind == "one-transition":
+        delta = a.delta.copy()
+        q, j = draw(st.integers(0, n - 1)), draw(st.integers(0, width - 1))
+        delta[q, j] = draw(st.integers(0, n - 1))
+        return a, Dfa(width, n, a.initial, a.finals, delta)
+    # states q and q + n both act as state q of a; each transition picks a twin
+    picks = draw(st.lists(st.integers(0, 1), min_size=2 * n * width, max_size=2 * n * width))
+    delta = np.vstack([a.delta, a.delta]) + n * np.reshape(picks, (2 * n, width))
+    finals = np.concatenate([a.finals, a.finals + n])
+    doubled = Dfa(width, 2 * n, a.initial + n * draw(st.integers(0, 1)), finals, delta)
+    return a, renumbered(doubled, draw(st.permutations(range(2 * n))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(dfa_pairs())
+def test_is_equivalent_agrees_with_the_product_oracle(pair):
+    a, b = pair
+    assert is_equivalent(a, b) == is_equivalent(b, a) == helpers.same_language(a, b)
 
 
 def test_preimage_by_renaming_permutes_columns():
@@ -442,7 +494,7 @@ def test_preimage_membership_translates_letterwise(a, data):
         data.draw(st.integers(0, len(phi) - 1))
         for _ in range(data.draw(st.integers(0, 6)))
     )
-    assert accepts(b, word) == accepts(a, tuple(phi[j] for j in word))
+    assert helpers.accepts(b, word) == helpers.accepts(a, tuple(phi[j] for j in word))
 
 
 def test_export_dot_declares_every_state_once():

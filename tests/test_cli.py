@@ -146,16 +146,19 @@ def test_export_rejects_unknown_artifact(tmp_path):
         ["sc", "--n1", "2", "--n2", "2", "--method", "full-monster", "--cap-letters", "0"],
         ["export", "--what", "alpha-table", "--format", "csv", "--out", "{missing}", "--max-x", "-2"],
         ["export", "--what", "alpha-table", "--format", "csv", "--out", "{missing}", "--max-y", "-1"],
+        ["sc", "--n1", "2", "--n2", "2", "--report", "{tmp}"],
+        ["sweep-finals", "--n1", "2", "--n2", "2", "--csv", "{tmp}"],
+        ["export", "--what", "alpha-table", "--format", "csv", "--out", "{tmp}"],
     ],
     ids=[
         "witness-size", "zero-size", "sweep-zero-size", "jobs", "report-dir", "csv-dir",
         "out-dir", "negative-cap-states", "zero-cap-states", "zero-cap-letters",
-        "negative-max-x", "negative-max-y",
+        "negative-max-x", "negative-max-y", "report-is-dir", "csv-is-dir", "out-is-dir",
     ],
 )
 def test_usage_errors_exit_2_before_any_work(argv, tmp_path, capsys):
     missing = tmp_path / "missing"
-    code = main([a.format(missing=missing) for a in argv])
+    code = main([a.format(missing=missing, tmp=tmp_path) for a in argv])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""

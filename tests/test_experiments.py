@@ -44,6 +44,32 @@ def test_sweep_rows_skip_at_the_state_cap(n, caps, at_target):
     assert summary.note == f"{pairs} of {pairs} pairs hit a cap"
 
 
+def test_sweep_starts_no_more_workers_than_orbits(monkeypatch):
+    # a serial stand-in for the pool records the worker count and starts no process
+    started = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", SerialPool)
+    # (2,2) has 16 final-set pairs in 8 orbits
+    rows, _ = sweep_reports(2, 2, jobs=1)
+    assert started == []
+    for jobs, workers in [(2, 2), (8, 8), (9, 8), (10**6, 8)]:
+        assert sweep_reports(2, 2, jobs=jobs)[0] == rows
+        assert started.pop() == workers
+
+
 def test_parallel_sweep_gives_the_same_rows():
     rows, summary = sweep_reports(2, 2, jobs=1)
     parallel_rows, parallel_summary = sweep_reports(2, 2, jobs=2)

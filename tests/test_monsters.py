@@ -12,7 +12,6 @@ from starxor import (
     PairLetter,
     Transformation,
     is_equivalent,
-    letter_index,
     minimize,
     monster,
     monster1,
@@ -59,22 +58,22 @@ def test_monster2_acts_coordinatewise():
     for j in range(m1.letter_count):
         first = Transformation(2, tuple(m1.delta[q][j] for q in range(2)))
         second = Transformation(2, tuple(m2.delta[q][j] for q in range(2)))
-        assert letter_index(spec, (first, second)) == j
+        assert helpers.letter_index(spec, (first, second)) == j
 
 
 def test_letter_index_known_value():
     # the swap pair sits at rank 2*4+2 in the (2,2) enumeration
     spec = MonsterSpec.pair(2, 2, {1}, {0})
     swap = Transformation(2, (1, 0))
-    assert letter_index(spec, PairLetter(swap, swap)) == 10
+    assert helpers.letter_index(spec, PairLetter(swap, swap)) == 10
 
 
 def test_letter_index_rejects_mismatches():
     spec = MonsterSpec.pair(2, 2, {1}, {0})
     with pytest.raises(ValueError):
-        letter_index(spec, (Transformation(2, (0, 1)),))
+        helpers.letter_index(spec, (Transformation(2, (0, 1)),))
     with pytest.raises(ValueError):
-        letter_index(spec, (Transformation(3, (0, 1, 2)), Transformation(2, (0, 1))))
+        helpers.letter_index(spec, (Transformation(3, (0, 1, 2)), Transformation(2, (0, 1))))
 
 
 def test_generic_arity():
@@ -89,7 +88,7 @@ def test_generic_arity():
         )
         for j in range(64)
     ]
-    assert [letter_index(spec, combo) for combo in letters] == list(range(64))
+    assert [helpers.letter_index(spec, combo) for combo in letters] == list(range(64))
 
 
 @pytest.mark.parametrize(
@@ -109,7 +108,7 @@ def test_letter_index_on_sampled_letters_of_the_4_4_monster():
     for j in random.Random(44).sample(range(65536), 25) + [0, 65535]:
         first = Transformation(4, tuple(m1.delta[:, j].tolist()))
         second = Transformation(4, tuple(m2.delta[:, j].tolist()))
-        assert letter_index(spec, PairLetter(first, second)) == j
+        assert helpers.letter_index(spec, PairLetter(first, second)) == j
         assert m1.letter_labels[j] == PairLetter(first, second).render()
 
 

@@ -229,7 +229,7 @@ def test_language_partition_merges_exactly_the_empty_and_seed_states():
             key = saturate_mask(mask, n1, n2)
             sat_blocks.setdefault(key, set()).add(q)
         sat_partition = {frozenset(b) for b in sat_blocks.values()}
-        nerode_blocks = {frozenset(b) for b in part.blocks()}
+        nerode_blocks = {frozenset(b) for b in helpers.blocks(part)}
         assert len(sat_partition) == len(nerode_blocks) + 1, (n1, n2)
         empty_state = s.state_masks.tolist().index(0)
         seed_state = s.state_masks.tolist().index(1)

@@ -2,10 +2,11 @@
 
 import pytest
 
+import helpers
 from starxor import (
     MonsterSpec,
+    identity,
     is_equivalent,
-    letter_index,
     minimize,
     monster2,
     preimage_by_renaming,
@@ -18,7 +19,7 @@ from starxor import (
 
 def test_always_seventeen_letters():
     for n1, n2 in [(2, 2), (2, 5), (4, 3), (6, 6)]:
-        assert len(sigma_prime(n1, n2).letters) == 17
+        assert len(sigma_prime(n1, n2)) == 17
 
 
 def test_small_sizes_are_rejected():
@@ -29,11 +30,11 @@ def test_small_sizes_are_rejected():
 
 
 def test_letter_shapes_at_four_by_four():
-    letters = sigma_prime(4, 4).letters
+    letters = sigma_prime(4, 4)
     # long cycle dodging the last state, then the cycle on the interior
     assert letters[0].first.images == (1, 2, 0, 3)
     assert letters[1].first.images == (0, 2, 1, 3)
-    assert letters[0].second.is_identity()
+    assert letters[0].second == identity(4)
     # full cycles on each side
     assert letters[3].first.images == (0, 2, 3, 1)
     assert letters[4].second.images == (0, 2, 3, 1)
@@ -50,20 +51,20 @@ def test_letter_shapes_at_four_by_four():
 
 
 def test_degenerate_supports_collapse_to_identity():
-    letters = sigma_prime(2, 2).letters
+    letters = sigma_prime(2, 2)
     # interior supports are empty or singletons when both sizes are 2
-    assert letters[0].first.is_identity()
-    assert letters[1].first.is_identity()
-    assert letters[2].second.is_identity()
+    assert letters[0].first == identity(2)
+    assert letters[1].first == identity(2)
+    assert letters[2].second == identity(2)
 
 
 def test_exactly_one_letter_moves_both_coordinates():
     for n1, n2 in [(2, 2), (3, 4), (5, 5)]:
-        letters = sigma_prime(n1, n2).letters
+        letters = sigma_prime(n1, n2)
         both_moving = [
             j
             for j, letter in enumerate(letters)
-            if not letter.first.is_identity() and not letter.second.is_identity()
+            if letter.first != identity(n1) and letter.second != identity(n2)
         ]
         assert both_moving == [7], (n1, n2)
 
@@ -76,7 +77,7 @@ def test_witness_pair_shape():
     assert first.finals.tolist() == [2]
     assert second.finals.tolist() == [0]
     assert first.letter_labels == second.letter_labels
-    letters = sigma_prime(3, 4).letters
+    letters = sigma_prime(3, 4)
     assert first.letter_labels[7] == letters[7].render()
     for j, letter in enumerate(letters):
         for q in range(3):
@@ -99,7 +100,7 @@ def test_witness_route_equals_restricted_monster_route():
         spec = MonsterSpec.pair(n1, n2, {n1 - 1}, {0})
         mon1, mon2 = monster2(spec)
         first, second = witness_pair(n1, n2)
-        phi = tuple(letter_index(spec, L) for L in sigma_prime(n1, n2).letters)
+        phi = tuple(helpers.letter_index(spec, L) for L in sigma_prime(n1, n2))
         renamed = preimage_by_renaming(stx(mon1, mon2), phi)
         assert is_equivalent(renamed, stx(first, second)), (n1, n2)
 
