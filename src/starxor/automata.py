@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 from typing import Sequence
@@ -102,11 +103,15 @@ class NerodePartition:
     """State partition by language equivalence: class_of[q] is q's class index.
 
     class_of is a read-only int32 array. Classes are numbered by first
-    occurrence in state order, so state 0 is always in class 0.
+    occurrence in state order, so state 0 is always in class 0. rounds is the
+    number of refinement rounds of the attempt that gave the partition, and
+    attempts the number of hash weight sets tried (see nerode_partition).
     """
 
     class_of: np.ndarray
     class_count: int
+    rounds: int
+    attempts: int
 
 
 # Frontier rows gathered per step of a breadth-first pass, as a bound on the
@@ -181,73 +186,153 @@ def accessible_part(a: Dfa) -> Dfa:
     return Dfa(a.letter_count, count, 0, finals[finals >= 0], new_id[a.delta[order]], a.letter_labels)
 
 
-def nerode_partition(a: Dfa) -> NerodePartition:
-    """Language-equivalence classes of the states, by iterated signature refinement.
+# splitmix64 (Steele, Lea and Flood): the odd increment of its stream and the
+# two odd multipliers of its finaliser
+_GOLDEN = 0x9E3779B97F4A7C15
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
 
-    Meaningful as the Nerode partition when a is accessible; minimize() takes
-    care of that. Each round writes every state's signature (own colour, then
-    the colour of each successor) as one row of bytes, in the narrowest
-    unsigned dtype that holds the colours and zero-padded to whole 8-byte
-    words. The states are sorted once on those words with np.lexsort, and a
-    class break falls wherever two adjacent sorted rows differ. Equal words
-    are equal signatures, so the refinement is exact.
+
+def _mix(h: np.ndarray) -> np.ndarray:
+    """splitmix64's finaliser, in place on a uint64 array: a bijection of words."""
+    h ^= h >> 30
+    h *= _MIX1
+    h ^= h >> 27
+    h *= _MIX2
+    h ^= h >> 31
+    return h
+
+
+def _hash_weights(attempt: int, count: int) -> np.ndarray:
+    """The first count outputs of the splitmix64 stream seeded with attempt."""
+    return _mix(np.arange(1, count + 1, dtype=np.uint64) * np.uint64(_GOLDEN) + np.uint64(attempt))
+
+
+def _hashed_round(a: Dfa, color: np.ndarray, count: int, attempt: int) -> np.ndarray:
+    """One round of Moore refinement with hashed signatures, in place on color.
+
+    color holds count colours 0..count-1 and comes back holding the new ones,
+    numbered in key order; returns the least state of each new colour. Each
+    state's signature (own colour, then successor colours) is written as one
+    row of the narrowest unsigned dtype that holds the colours, zero-padded
+    to whole uint64 words, one row block at a time. With x a row's words and
+    w, v the attempt's weights, the row's hash is x @ w + (x >> 32) @ v mod
+    2^64, then splitmix64's finaliser. State q's key is the hash's high bits
+    above q's index, so one sort of the keys puts equal hashes in runs that
+    each start at their least state.
     """
     n, width = a.state_count, a.letter_count
-    # colours are always 0..count-1
-    count = 2 if 0 < len(a.finals) < n else 1
-    color = np.zeros(n, dtype=np.int32)
-    if count == 2:
-        color[a.finals] = 1
+    # uint8, uint16 or uint32: the narrowest that holds colour count - 1
+    dtype = np.min_scalar_type(count - 1)
+    words = -(-(width + 1) * dtype.itemsize // 8)
+    weights = _hash_weights(attempt, 2 * words)
+    shift = (n - 1).bit_length()
+    high_bits = np.uint64(2**64 - (1 << shift))
     # np.take makes an intp copy of each int32 index block, so blocks are
-    # sized to keep that copy within BLOCK_ENTRIES bytes; it gathers into a
-    # fresh contiguous block, which is faster than into the strided rows
+    # sized to keep that copy within BLOCK_ENTRIES bytes
     step = block_rows(8 * width)
-    table = None
-    while True:
-        # uint8, uint16 or uint32: the narrowest that holds colour count - 1
-        dtype = np.min_scalar_type(count - 1)
-        words = -(-(width + 1) * dtype.itemsize // 8)
-        if table is None or table.shape[1] != words:
-            # the last round's table is freed before the new one is made
-            table = rows = None
-            table = np.empty((n, words), dtype=np.uint64)
-        rows = table.view(dtype)
-        # pad bytes are part of every sort key, and np.empty leaves them unset
-        rows[:, width + 1:] = 0
-        narrow = color.astype(dtype)
-        rows[:, 0] = narrow
-        for lo in range(0, n, step):
-            rows[lo:lo + step, 1:width + 1] = np.take(narrow, a.delta[lo:lo + step], mode="clip")
-        del narrow
-        # lexsort takes its last key as the primary one
-        order = np.lexsort(table.T)
-        breaks = np.zeros(n - 1, dtype=bool)
-        for key in table.T:
-            ranked = key[order]
-            breaks |= ranked[1:] != ranked[:-1]
-        # key is a view that would keep the table alive past a widening
-        del key, ranked
-        new_count = int(breaks.sum()) + 1
-        if new_count == count:
-            break
-        color[order[0]] = 0
-        color[order[1:]] = np.cumsum(breaks, dtype=np.int32)
-        count = new_count
-        # freed before the next fill, which then runs beside the table alone
-        del order, breaks
-    del table, rows
-    # the runs of the sorted order are the classes, though not in colour
-    # order, and lexsort is stable, so each run starts at its least state
-    firsts = np.empty(count, dtype=np.intp)
-    firsts[0] = order[0]
-    firsts[1:] = order[1:][breaks]
-    firsts.sort()
-    # renumber the classes by first occurrence in state order
-    rank = np.empty(count, dtype=np.int32)
-    rank[color[firsts]] = np.arange(count, dtype=np.int32)
-    class_of = rank[color]
-    class_of.flags.writeable = False
-    return NerodePartition(class_of, count)
+    # zeros: the pad bytes of a row are never written
+    x_buf = np.zeros((min(step, n), words), dtype=np.uint64)
+    # x and its high halves apart: a shift into every other column of one
+    # block runs about ten times slower
+    top_buf = np.empty_like(x_buf)
+    narrow = color.astype(dtype)
+    keys = np.empty(n, dtype=np.uint64)
+    for lo in range(0, n, step):
+        hi = min(n, lo + step)
+        x, top = x_buf[:hi - lo], top_buf[:hi - lo]
+        rows = x.view(dtype)
+        rows[:, 0] = narrow[lo:hi]
+        rows[:, 1:width + 1] = np.take(narrow, a.delta[lo:hi])
+        np.right_shift(x, 32, out=top)
+        h = x @ weights[:words]
+        h += top @ weights[words:]
+        _mix(h)
+        h &= high_bits
+        h |= np.arange(lo, hi, dtype=np.uint64)
+        keys[lo:hi] = h
+    keys.sort()
+    breaks = (keys[1:] ^ keys[:-1]) >> shift != 0
+    keys &= ~high_bits
+    order = keys.view(np.int64)
+    color[order[0]] = 0
+    color[order[1:]] = np.cumsum(breaks, dtype=np.int32)
+    reps = np.empty(int(breaks.sum()) + 1, dtype=np.intp)
+    reps[0] = order[0]
+    reps[1:] = order[1:][breaks]
+    return reps
+
+
+def _is_stable(a: Dfa, final: np.ndarray, class_of: np.ndarray, reps: np.ndarray) -> bool:
+    """Is every class all final or all nonfinal, and does every state q have
+    the successor classes of its class's representative reps[class_of[q]]?
+
+    One gather pass, a row block at a time, against the small table of the
+    representatives' successor classes; it stops at the first block that
+    differs.
+    """
+    if not np.array_equal(final[reps][class_of], final):
+        return False
+    narrow = class_of.astype(np.min_scalar_type(len(reps) - 1))
+    expected = np.take(narrow, a.delta[reps])
+    step = block_rows(8 * a.letter_count)
+    return all(
+        np.array_equal(np.take(narrow, a.delta[lo:lo + step]), expected[class_of[lo:lo + step]])
+        for lo in range(0, a.state_count, step)
+    )
+
+
+def nerode_partition(a: Dfa) -> NerodePartition:
+    """Language-equivalence classes of the states, by hashed Moore refinement.
+
+    Meaningful as the Nerode partition when a is accessible; minimize() takes
+    care of that. From the finality split, each round (_hashed_round) gives
+    two states one colour when their signatures (own colour, successor
+    colours) hash to one key, and the refinement stops at the first round
+    whose partition passes an exact check (_is_stable).
+
+    Why the result is exact. Equal signatures always get equal keys, so a
+    round can only merge states that Moore's round would separate. By
+    induction from the finality split, language-equivalent states share a
+    colour in every round: no round's partition is finer than the Nerode
+    partition. The check shows it is not coarser: every class is all final
+    or all nonfinal, and every state's successor classes equal its class
+    representative's. A partition that passes is a congruence that respects
+    finality, so it refines the Nerode partition, and the two are equal.
+
+    Collisions. Without one, a partition that fails the check splits in the
+    next round, so the count of colours rises. A round whose count does not
+    rise therefore shows a collision, and the refinement reruns from the
+    finality split with the next fixed weight set. The count cannot rise
+    past state_count, so every attempt ends. Write each word of a row as
+    a + 2^32 b: two distinct rows differ in some half-word by less than
+    2^32, so for uniform weights w and v their hashes agree mod 2^64 with
+    probability at most 2^-32 (over the weight that multiplies that half),
+    and a key keeps the high 64 - log2(state_count) bits of a bijection of
+    the hash. Hashing the words alone would not do: rows that differ only in
+    the top bytes of two words agree with probability up to 1/2.
+    """
+    n = a.state_count
+    final = np.zeros(n, dtype=bool)
+    final[a.finals] = True
+    for attempt in itertools.count():
+        color = final.astype(np.int32)
+        count = 2 if 0 < len(a.finals) < n else 1
+        rounds = 0
+        while True:
+            rounds += 1
+            reps = _hashed_round(a, color, count, attempt)
+            if _is_stable(a, final, color, reps):
+                # renumber the classes by first occurrence in state order
+                reps.sort()
+                rank = np.empty(len(reps), dtype=np.int32)
+                rank[color[reps]] = np.arange(len(reps), dtype=np.int32)
+                class_of = rank[color]
+                class_of.flags.writeable = False
+                return NerodePartition(class_of, len(reps), rounds, attempt + 1)
+            if len(reps) <= count:
+                break
+            count = len(reps)
 
 
 def minimize(a: Dfa) -> Dfa:

@@ -198,8 +198,12 @@ def star_modifier(
             ids = slot[img]
             unseen = np.flatnonzero(ids == 0)
             found = img[unseen]
-            values, first, _ = _unique_first(found)
-            fresh = values[np.argsort(first)]
+            # each unseen mask's slot takes the least of the negative codes
+            # of its positions, which marks its first occurrence; fresh is
+            # then already in first-occurrence order
+            code = np.arange(-len(found), 0, dtype=np.int32)
+            np.minimum.at(slot, found, code)
+            fresh = found[slot[found] == code]
             slot[fresh] = np.arange(count + 1, count + 1 + len(fresh), dtype=np.int32)
             ids[unseen] = slot[found]
             ids -= 1

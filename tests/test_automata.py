@@ -1,7 +1,9 @@
 """DFA toolkit: accessibility, minimization, equivalence, renaming, formats."""
 
+import itertools
 import json
 import random
+import sys
 import tracemalloc
 
 import numpy as np
@@ -317,6 +319,86 @@ def test_nerode_partition_keeps_no_second_table():
         tracemalloc.stop()
     assert part.class_count == 848
     assert peak < bound
+
+
+def test_nerode_partition_holds_no_signature_table():
+    # witness (4,4): 33,792 states over 17 letters, 848 classes. Refinement
+    # may hold, per state, the int32 and uint16 colours, the finality flag
+    # and a uint64 key, and one fill block: the intp copy np.take makes of a
+    # row block of delta, the uint16 colours gathered from it, the block's
+    # five uint64 words a row and their high halves, and a uint64 hash a
+    # row; 64 KiB covers the interpreter's own objects
+    acc = stx(*witness_pair(4, 4))
+    n, width = acc.state_count, acc.letter_count
+    rows = automata.block_rows(8 * width)
+    assert (n, width) == (33792, 17) and rows < n
+    bound = n * (4 + 2 + 1 + 8) + rows * (width * (8 + 2) + 2 * 5 * 8 + 8) + 2**16
+    tracemalloc.start()
+    try:
+        part = nerode_partition(acc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert part.class_count == 848
+    assert peak < bound
+    # a table of every state's five signature words (1.35 MB) would not fit
+    assert peak + n * 5 * 8 > bound
+
+
+@pytest.mark.parametrize(
+    "first",
+    [
+        # every key is the state's index alone: one class, which mixes
+        # final and nonfinal states
+        lambda count: np.zeros(count, dtype=np.uint64),
+        # only the own colour, the low byte of a row's first word while the
+        # colours fit uint8: the finality split comes back unchanged, and its
+        # successor classes are not stable
+        pytest.param(
+            lambda count: np.array([1 << 56] + [0] * (count - 1), dtype=np.uint64),
+            marks=pytest.mark.skipif(sys.byteorder != "little", reason="little-endian word layout"),
+        ),
+    ],
+    ids=["zero-weights", "own-colour-only"],
+)
+def test_nerode_partition_reruns_after_a_collision(monkeypatch, first):
+    # first(count) stands in for the weights of attempt 0 only
+    library, seen = automata._hash_weights, []
+
+    def weights(attempt, count):
+        seen.append(attempt)
+        return first(count) if attempt == 0 else library(attempt, count)
+
+    monkeypatch.setattr(automata, "_hash_weights", weights)
+    a = stx(*witness_pair(3, 3))
+    part = nerode_partition(a)
+    assert part.attempts == 2 and sorted(set(seen)) == [0, 1]
+    assert part.class_of.tolist() == list(helpers.signature_refinement(a))
+    assert part.class_count == 66
+
+
+@pytest.mark.parametrize("attempt", [0, 1, 2])
+def test_hashed_round_separates_rows_that_differ_in_top_bytes(attempt):
+    # 31 letters: a row is 32 uint8 colours in four words, and the successor
+    # colours on letters 6, 14, 22 and 30 sit in the top bytes of the words.
+    # Rows that differ by 128 there differ by 2^63 in those words, so a hash
+    # of the words alone gives two of them one key whenever the two weights
+    # have equal parity, as some two of four weights always do
+    width, top = 31, (6, 14, 22, 30)
+    pairs = list(itertools.combinations(top, 2))
+    # states 0..255 loop and are given colours 0..255; state 256 moves to
+    # state 0 on every letter, and state 257 + k to state 128 on the letters
+    # of pairs[k] and to state 0 on the others
+    n = 257 + len(pairs)
+    delta = np.zeros((n, width), dtype=np.int32)
+    delta[:256] = np.arange(256)[:, None]
+    for k, letters in enumerate(pairs):
+        delta[257 + k, list(letters)] = 128
+    a = Dfa(width, n, 0, (), delta)
+    color = np.zeros(n, dtype=np.int32)
+    color[:256] = np.arange(256)
+    automata._hashed_round(a, color, 256, attempt)
+    assert len(set(color[256:].tolist())) == 1 + len(pairs)
 
 
 def shift_register(bits: int, copies: int = 1) -> Dfa:

@@ -1,7 +1,11 @@
 """End-to-end checks of the command line entry point."""
 
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -190,3 +194,15 @@ def test_options_a_subcommand_would_ignore_are_rejected(argv, tmp_path, capsys):
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_importing_the_cli_leaves_numpy_random_unloaded():
+    # refinement derives its hash weights from splitmix64; importing
+    # numpy.random would add start-up time and memory to every CLI process
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, starxor.cli; print('numpy.random' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60, check=True
+    )
+    assert proc.stdout.strip() == "False"
