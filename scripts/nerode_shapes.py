@@ -1,12 +1,14 @@
-"""Time Nerode refinement in-process on the table shapes the benchmarks reach.
+"""Time the subset BFS and Nerode refinement in-process on the benchmarks' shapes.
 
     python3 scripts/nerode_shapes.py [--repeat 5] [--src PATH]
 
-Builds each table once (the accessible part that `minimize` refines), then
-calls `nerode_partition` --repeat times and prints the fastest call in ms,
-with the states, letters, classes, refinement rounds and hash attempts of the
-partition and a digest of its `class_of`. Equal digests mean equal
-partitions, so two source trees can be compared shape by shape: --src
+Calls `stx` on each shape's operands --repeat times and prints the fastest
+call in ms with a digest of the subset table's `delta` and `state_masks`.
+Then it takes the accessible part that `minimize` refines, calls
+`nerode_partition` --repeat times and prints the fastest call in ms, with
+the states, letters, classes, refinement rounds and hash attempts of the
+partition and a digest of its `class_of`. Equal digests mean equal tables
+and partitions, so two source trees can be compared shape by shape: --src
 imports `starxor` from another tree's `src` directory (default: this one's).
 A tree whose partitions do not report rounds or attempts prints `-`.
 
@@ -44,20 +46,34 @@ def main(argv: list[str] | None = None) -> int:
         ("monster (3,3) {0,1} {1}", lambda: monster2(MonsterSpec.pair(3, 3, {0, 1}, {1}))),
         ("full monster (4,3)", lambda: monster2(MonsterSpec.pair(4, 3, {3}, {0}))),
     ]
-    print("| shape | states | letters | classes | rounds | attempts | best ms | class_of sha256 |")
-    print("|---|---|---|---|---|---|---|---|")
-    for name, operands in shapes:
-        table = accessible_part(stx(*operands()))
+    def fastest(call):
         best = float("inf")
         for _ in range(args.repeat):
             start = time.perf_counter()
-            part = nerode_partition(table)
+            out = call()
             best = min(best, time.perf_counter() - start)
+        return out, best
+
+    print(
+        "| shape | stx ms | stx sha256 | states | letters | classes | rounds | attempts "
+        "| best ms | class_of sha256 |"
+    )
+    print("|---|---|---|---|---|---|---|---|---|---|")
+    for name, operands in shapes:
+        pair = operands()
+        subsets, stx_best = fastest(lambda: stx(*pair))
+        stx_digest = hashlib.sha256(
+            subsets.delta.astype("<i4").tobytes() + subsets.state_masks.astype("<i8").tobytes()
+        ).hexdigest()[:12]
+        table = accessible_part(subsets)
+        del subsets
+        part, best = fastest(lambda: nerode_partition(table))
         digest = hashlib.sha256(part.class_of.astype("<i4").tobytes()).hexdigest()[:12]
         rounds, attempts = (getattr(part, key, "-") for key in ("rounds", "attempts"))
         print(
-            f"| {name} | {table.state_count:,} | {table.letter_count:,} | {part.class_count:,} "
-            f"| {rounds} | {attempts} | {best * 1e3:.1f} | {digest} |",
+            f"| {name} | {stx_best * 1e3:.1f} | {stx_digest} | {table.state_count:,} "
+            f"| {table.letter_count:,} | {part.class_count:,} | {rounds} | {attempts} "
+            f"| {best * 1e3:.1f} | {digest} |",
             flush=True,
         )
     return 0

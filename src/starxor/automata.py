@@ -35,7 +35,7 @@ class Dfa:
         if self.letter_labels is not None:
             labels = self.letter_labels
             if isinstance(labels, str) or not isinstance(labels, Sequence) or not all(
-                isinstance(label, str) for label in labels
+                map(isinstance, labels, itertools.repeat(str))
             ):
                 raise ValueError("letter_labels must be a sequence of strings")
             object.__setattr__(self, "letter_labels", tuple(labels))
@@ -77,7 +77,12 @@ class Dfa:
         if raw.size:
             if raw.dtype.kind not in "iu":
                 raise ValueError("delta entries must be integers")
-            if raw.min() < 0 or raw.max() >= self.state_count:
+            if raw.dtype == np.int32:
+                # one reduction: a negative entry reads as at least 2^31 as uint32
+                out_of_range = raw.view(np.uint32).max() >= self.state_count
+            else:
+                out_of_range = raw.min() < 0 or raw.max() >= self.state_count
+            if out_of_range:
                 raise ValueError("delta targets a state out of range")
         delta = raw.astype(np.int32, copy=False).view()
         delta.flags.writeable = False

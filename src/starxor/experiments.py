@@ -126,11 +126,19 @@ def orbit_key(
     state 0 renames the pair alphabet bijectively, and stx commutes with
     letter renamings (it is 1-uniform), so the minimal size depends only on
     (|f1|, 0 in f1, |f2|, 0 in f2). Complementing both final sets leaves the
-    xor zone unchanged, so a key and its joint complement name one orbit;
-    the smaller of the two is the orbit's key.
+    xor zone unchanged, so a key and its joint complement name one orbit.
+    When n1 == n2, swapping the operands renames the pair alphabet
+    bijectively, (f, g) to (g, f), and leaves L1 xor L2 unchanged, so a key
+    and its swap name one orbit too. The least of these keys is the orbit's
+    key.
     """
-    key = (len(f1), 0 in f1, len(f2), 0 in f2)
-    return min(key, (n1 - len(f1), 0 not in f1, n2 - len(f2), 0 not in f2))
+    keys = [
+        (len(f1), 0 in f1, len(f2), 0 in f2),
+        (n1 - len(f1), 0 not in f1, n2 - len(f2), 0 not in f2),
+    ]
+    if n1 == n2:
+        keys += [(size2, has2, size1, has1) for size1, has1, size2, has2 in keys]
+    return min(keys)
 
 
 def _sweep_one(args: tuple) -> int | None:

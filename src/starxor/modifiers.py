@@ -28,7 +28,8 @@ TRANSITION_CAP = 2**27
 # Subset masks are int64, so bit 62 is the highest an operand state can use.
 MAX_OPERAND_STATES = 63
 # Bound on the entries of the per-letter subset-image lookup tables, and of
-# star_modifier's dense mask map (n <= 22 operand states: at most 16 MB).
+# star_modifier's dense mask map (n <= 22 operand states: at most 16 MB). It
+# must stay below 2^31, so that the dense map's masks fit in int32.
 TABLE_ENTRIES = 2**22
 
 
@@ -85,23 +86,27 @@ def _unique_first(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
     return distinct, first, inverse
 
 
-def _image_tables(delta: np.ndarray) -> tuple[np.ndarray, int]:
+def _image_tables(delta: np.ndarray, dtype: type) -> tuple[np.ndarray, int]:
     """Per-letter lookup tables for subset images, and the chunk width in bits.
 
     delta[i, j] is letter j's image of state i. A mask is read in chunks of
     width bits; tables[c, v, j] is the image under letter j of the states that
-    the chunk value v stands for in chunk c. The width is 8 (byte tables) when
-    the tables fit in TABLE_ENTRIES, narrower on very wide alphabets.
+    the chunk value v stands for in chunk c. Each chunk costs one gather per
+    image entry, and each table entry one step to build, so the mask is read
+    in two halves of ceil(n / 2) bits, or, where those tables do not fit in
+    TABLE_ENTRIES, in the fewest chunks of equal width whose tables do (one
+    bit wide when none do). One table of all n bits would take 2^n rows,
+    more than most searches ever gather from. Images are held as dtype.
     """
     n, letters = delta.shape
     width = next(
-        w for w in (8, 4, 2, 1)
+        w for w in (-(-n // c) for c in range(2, n + 2))
         if w == 1 or -(-n // w) * letters << w <= TABLE_ENTRIES
     )
     chunks = -(-n // width)
-    bits = np.zeros((chunks * width, letters), dtype=np.int64)
-    bits[:n] = np.left_shift(np.int64(1), delta.astype(np.int64))
-    tables = np.zeros((chunks, 1 << width, letters), dtype=np.int64)
+    bits = np.zeros((chunks * width, letters), dtype=dtype)
+    bits[:n] = np.left_shift(dtype(1), delta.astype(dtype))
+    tables = np.zeros((chunks, 1 << width, letters), dtype=dtype)
     for b in range(width):
         low = 1 << b
         tables[:, low:2 * low] = tables[:, :low] | bits[b::width, None, :]
@@ -125,9 +130,10 @@ def star_modifier(
     to bitmask.
 
     The frontier is expanded a block of rows at a time, every letter at once,
-    into one table. Masks map to state ids through a dense int32 array over
-    all 2^n masks when 2^n <= TABLE_ENTRIES, else through a sorted array of
-    the masks found so far. LimitExceeded is raised once the known subset
+    into one table. When 2^n <= TABLE_ENTRIES, masks are held as int32 and
+    map to state ids through a dense int32 array over all 2^n masks; else
+    they are held as int64 and map through a sorted array of the masks found
+    so far. Either way state_masks comes out as int64. LimitExceeded is raised once the known subset
     states exceed cap_states or, times the letter count, TRANSITION_CAP; it
     is raised up front if a has more than MAX_OPERAND_STATES states.
     """
@@ -150,18 +156,25 @@ def star_modifier(
     if full and count > cap_states:
         raise LimitExceeded(f"2^{n} subset states exceed the cap of {cap_states}")
     check_caps(count)
-    fmask = sum(1 << q for q in a.finals.tolist())
-    ibit = 1 << a.initial
-    tables, width = _image_tables(a.delta)
-    empty_row_image = np.left_shift(np.int64(1), a.delta[a.initial].astype(np.int64))
-    chunk = (1 << width) - 1
+    # with the dense map every mask is below 2^n <= TABLE_ENTRIES, so masks,
+    # images and their tables fit in int32
+    dense = 1 << n <= TABLE_ENTRIES
+    dtype = np.int32 if dense else np.int64
+    fmask = dtype(sum(1 << q for q in a.finals.tolist()))
+    ibit = dtype(1 << a.initial)
+    tables, width = _image_tables(a.delta, dtype)
+    # an image meets the finals exactly when one of its chunk images does, so
+    # the initial state joins each chunk image that meets them
+    tables[(tables & fmask) != 0] |= ibit
+    chunk = dtype((1 << width) - 1)
 
     def images(masks: np.ndarray) -> np.ndarray:
-        out = np.zeros((len(masks), letters), dtype=np.int64)
-        for c in range(len(tables)):
-            out |= tables[c][(masks >> (width * c)) & chunk]
-        out[masks == 0] = empty_row_image
-        return np.bitwise_or(out, ibit, out=out, where=(out & fmask) != 0)
+        # the empty set steps as {initial} does
+        masks = np.where(masks == 0, ibit, masks)
+        out = np.take(tables[0], masks & chunk, axis=0)
+        for c in range(1, len(tables)):
+            out |= np.take(tables[c], (masks >> (width * c)) & chunk, axis=0)
+        return out
 
     step = block_rows(letters)
     # table and masks each start at one block's worth, so that a small
@@ -181,63 +194,66 @@ def star_modifier(
     # masks[q] is state q's mask; states are numbered in discovery order, so
     # masks[done:count] is the queue of states whose rows are still to come
     if full:
-        masks = np.arange(count, dtype=np.int64)
+        masks = np.arange(count, dtype=dtype)
     else:
-        masks = np.empty(min(step, limit), dtype=np.int64)
+        masks = np.empty(min(step, limit), dtype=dtype)
         masks[0] = 0
 
-    # number(img, count) gives the state ids of the masks in img, numbering
-    # the unseen ones count, count + 1, ... by first occurrence, and the
-    # unseen masks in that order
-    if 1 << n <= TABLE_ENTRIES:
-        # dense map: slot[m] is 1 + the id of mask m, 0 while m is unseen
-        slot = np.zeros(1 << n, dtype=np.int32)
-        slot[masks[:count]] = np.arange(1, count + 1, dtype=np.int32)
+    # number(img, count, ids) writes into ids the state ids of the masks in
+    # img, numbering the unseen ones count, count + 1, ... by first
+    # occurrence, and returns the unseen masks in that order
+    if dense:
+        # dense map: slot[m] is the id of mask m, -1 while m is unseen
+        slot = np.full(1 << n, -1, dtype=np.int32)
+        slot[masks[:count]] = np.arange(count, dtype=np.int32)
 
-        def number(img: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
-            ids = slot[img]
-            unseen = np.flatnonzero(ids == 0)
+        def number(img: np.ndarray, count: int, ids: np.ndarray) -> np.ndarray:
+            # every mask is in range, so mode="clip" only skips the buffered
+            # copy that the default mode makes of ids
+            np.take(slot, img, out=ids, mode="clip")
+            unseen = np.flatnonzero(ids < 0)
             found = img[unseen]
-            # each unseen mask's slot takes the least of the negative codes
-            # of its positions, which marks its first occurrence; fresh is
+            # each unseen mask's slot takes the least of the codes (all below
+            # -1) of its positions, which marks its first occurrence; fresh is
             # then already in first-occurrence order
-            code = np.arange(-len(found), 0, dtype=np.int32)
+            code = np.arange(-1 - len(found), -1, dtype=np.int32)
             np.minimum.at(slot, found, code)
             fresh = found[slot[found] == code]
-            slot[fresh] = np.arange(count + 1, count + 1 + len(fresh), dtype=np.int32)
+            slot[fresh] = np.arange(count, count + len(fresh), dtype=np.int32)
             ids[unseen] = slot[found]
-            ids -= 1
-            return ids, fresh
+            return fresh
     else:
         # sorted map: known holds every mask found so far, sorted, and
         # known_id its state
         known = masks[:count].copy()
         known_id = np.arange(count, dtype=np.int32)
 
-        def number(img: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
+        def number(img: np.ndarray, count: int, ids: np.ndarray) -> np.ndarray:
             nonlocal known, known_id
             values, first, inverse = _unique_first(img)
             at = np.searchsorted(known, values)
             old = known[np.minimum(at, len(known) - 1)] == values
-            ids = np.empty(len(values), dtype=np.int32)
-            ids[old] = known_id[at[old]]
+            value_ids = np.empty(len(values), dtype=np.int32)
+            value_ids[old] = known_id[at[old]]
             new = np.flatnonzero(~old)
             by_first = new[np.argsort(first[new])]
-            ids[by_first] = np.arange(count, count + len(new), dtype=np.int32)
+            value_ids[by_first] = np.arange(count, count + len(new), dtype=np.int32)
             known = np.insert(known, at[new], values[new])
-            known_id = np.insert(known_id, at[new], ids[new])
-            return ids[inverse], values[by_first]
+            known_id = np.insert(known_id, at[new], value_ids[new])
+            ids[:] = value_ids[inverse]
+            return values[by_first]
 
     done = 0
     while done < count:
         rows = min(step, count - done)
-        ids, fresh = number(images(masks[done:done + rows]).reshape(-1), count)
+        table = room(table, done, done + rows)
+        fresh = number(
+            images(masks[done:done + rows]).reshape(-1), count, table[done:done + rows].reshape(-1)
+        )
         check_caps(count + len(fresh))
         masks = room(masks, count, count + len(fresh))
         masks[count:count + len(fresh)] = fresh
         count += len(fresh)
-        table = room(table, done, done + rows)
-        table[done:done + rows] = ids.reshape(rows, letters)
         done += rows
     table.resize((count, letters), refcheck=False)
     masks.resize(count, refcheck=False)

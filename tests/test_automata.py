@@ -98,6 +98,24 @@ def test_delta_is_a_read_only_int32_table():
         Dfa(2, 2, 0, frozenset(), ((0, 1), (1,)))
 
 
+@pytest.mark.parametrize(
+    "dtype, target",
+    [
+        *((np.int32, t) for t in (-1, -2**31, 3, 2**31 - 1)),
+        *((np.int64, t) for t in (-1, -2**40, 3, 2**40)),
+        (np.uint8, 3),
+        (np.uint8, 255),
+    ],
+)
+def test_delta_out_of_range_is_refused_in_every_dtype(dtype, target):
+    # an int32 table is checked by one uint32 reduction, the others by both bounds
+    table = np.array([[0, 1], [2, 1], [1, 0]], dtype=dtype)
+    assert Dfa(2, 3, 0, (), table).delta.tolist() == table.tolist()
+    table[1, 0] = target
+    with pytest.raises(ValueError, match="delta targets a state out of range"):
+        Dfa(2, 3, 0, (), table)
+
+
 def test_equality_is_by_value():
     a = Dfa(2, 2, 0, frozenset({1}), ((0, 1), (1, 1)), ("a", "b"))
     same = Dfa(2, 2, 0, frozenset({1}), np.array([[0, 1], [1, 1]], dtype=np.int64), ("a", "b"))

@@ -62,10 +62,10 @@ def test_sweep_starts_no_more_workers_than_orbits(monkeypatch):
             return map(fn, tasks)
 
     monkeypatch.setattr(experiments, "ProcessPoolExecutor", SerialPool)
-    # (2,2) has 16 final-set pairs in 8 orbits
+    # (2,2) has 16 final-set pairs in 6 orbits
     rows, _ = sweep_reports(2, 2, jobs=1)
     assert started == []
-    for jobs, workers in [(2, 2), (8, 8), (9, 8), (10**6, 8)]:
+    for jobs, workers in [(2, 2), (6, 6), (7, 6), (10**6, 6)]:
         assert sweep_reports(2, 2, jobs=jobs)[0] == rows
         assert started.pop() == workers
 
@@ -101,7 +101,7 @@ def test_orbit_sweep_skips_whole_orbits_at_a_cap():
 
 @pytest.mark.parametrize(
     "n1, n2, caps, constructions",
-    [(3, 3, {}, 18), (4, 3, {"cap_letters": 10}, 24)],
+    [(3, 3, {}, 12), (4, 3, {"cap_letters": 10}, 24)],
 )
 def test_sweep_builds_one_construction_per_orbit(monkeypatch, n1, n2, caps, constructions):
     calls = []
@@ -116,6 +116,17 @@ def test_sweep_builds_one_construction_per_orbit(monkeypatch, n1, n2, caps, cons
     assert len(rows) == 2 ** (n1 + n2)
     if caps:
         assert all(row["verdict"] == "skipped" for row in rows)
+
+
+@pytest.mark.parametrize("n, orbits", [(1, 2), (2, 6), (3, 12), (4, 20)])
+def test_orbit_key_is_swap_invariant_at_square_sizes(n, orbits):
+    keys = set()
+    for f1 in helpers.final_sets(n):
+        for f2 in helpers.final_sets(n):
+            key = orbit_key(n, n, f1, f2)
+            assert orbit_key(n, n, f2, f1) == key
+            keys.add(key)
+    assert len(keys) == orbits
 
 
 @pytest.mark.parametrize("n1, n2", list(itertools.product(range(1, 5), repeat=2)))

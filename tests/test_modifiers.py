@@ -220,20 +220,23 @@ def test_random_star_and_stx_tables_match_the_reference_bfs():
 
 @pytest.mark.parametrize(
     "block_entries, table_entries, width",
-    [(1, 2**22, 8), (7, 1000, 4), (40, 500, 2), (64, 1, 1)],
+    [(1, 2**22, 6), (7, 1000, 4), (40, 500, 2), (64, 1, 1)],
 )
 def test_small_blocks_and_narrow_tables_keep_the_numbering(
     monkeypatch, block_entries, table_entries, width
 ):
-    # frontier blocks that split a level, and image tables read 4, 2 or 1 bits
-    # at a time, must not change a single table entry; the table is cut to
-    # its rows, with no spare capacity left
+    # frontier blocks that split a level, and image tables read in halves of
+    # 6 bits over 12 or 5 over 9 (a width that does not divide n), or 4, 3,
+    # 2 or 1 bits at a time, must not change a single table entry; the table
+    # is cut to its rows, with no spare capacity left. width is the chunk
+    # width at witness (4,3), 12 bits; at (3,3), 9 bits, it is width_33.
+    width_33 = {2**22: 5, 1000: 3, 500: 3, 1: 1}[table_entries]
     monkeypatch.setattr(automata, "BLOCK_ENTRIES", block_entries)
     monkeypatch.setattr(modifiers, "TABLE_ENTRIES", table_entries)
-    for n1, n2 in [(3, 3), (4, 3)]:
+    for n1, n2, width in [(3, 3, width_33), (4, 3, width)]:
         a, b = witness_pair(n1, n2)
         product = helpers.xor_product_reference(a, b)
-        assert modifiers._image_tables(product.delta)[1] == width
+        assert modifiers._image_tables(product.delta, np.int32)[1] == width
         s = stx(a, b)
         assert _tables(s) == _reference_tables(product), (n1, n2)
         _assert_no_spare_capacity(s)
@@ -272,10 +275,25 @@ def test_dense_and_sorted_maps_give_the_same_tables(monkeypatch, pair, full):
     assert runs[0][0] == runs[1][0] == _reference_tables(product, full)
 
 
+def test_dense_and_sorted_maps_agree_where_masks_reach_bit_21(monkeypatch):
+    # 22 operand states is the widest the dense map takes at the default
+    # TABLE_ENTRIES; its int32 masks must come out as the sorted map's int64
+    a = helpers.cycle_dfa(22)
+    dense = star_modifier(a)
+    monkeypatch.setattr(modifiers, "TABLE_ENTRIES", 2**22 - 1)
+    sorted_map = star_modifier(a)
+    assert dense.state_masks.dtype == sorted_map.state_masks.dtype == np.int64
+    assert np.bitwise_and(dense.state_masks, 1 << 21).any()
+    assert dense == sorted_map
+    assert _tables(dense) == _reference_tables(a)
+
+
 def test_dense_map_costs_four_bytes_per_mask(monkeypatch):
     # 2^20 masks of one letter, 362 of them reachable: beside what the sorted
-    # map's run allocates, the dense map adds one int32 per mask; 64 KiB
-    # covers the interpreter's own objects
+    # map's run allocates, the dense map adds one int32 per mask, holds its
+    # image tables as int32 instead of int64, and saves four bytes on each
+    # entry of the mask queue's first block, also int32 instead of int64;
+    # 64 KiB covers the interpreter's own objects
     def peak() -> int:
         tracemalloc.start()
         try:
@@ -284,11 +302,16 @@ def test_dense_map_costs_four_bytes_per_mask(monkeypatch):
         finally:
             tracemalloc.stop()
 
+    delta = helpers.cycle_dfa(20).delta
+    dense_tables, width = modifiers._image_tables(delta, np.int32)
+    assert width == 10
     dense = peak()
     monkeypatch.setattr(modifiers, "TABLE_ENTRIES", 2**20 - 1)
-    assert modifiers._image_tables(helpers.cycle_dfa(20).delta)[1] == 8
+    sparse_tables, width = modifiers._image_tables(delta, np.int64)
+    assert width == 10
     sparse = peak()
-    assert sparse < dense < sparse + 4 * 2**20 + 2**16
+    extra = 4 * 2**20 + dense_tables.nbytes - sparse_tables.nbytes - 4 * automata.block_rows(1)
+    assert abs(dense - sparse - extra) < 2**16
 
 
 def test_unique_first_is_np_unique():
