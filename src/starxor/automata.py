@@ -108,12 +108,15 @@ class NerodePartition:
     """State partition by language equivalence: class_of[q] is q's class index.
 
     class_of is a read-only int32 array. Classes are numbered by first
-    occurrence in state order, so state 0 is always in class 0. rounds is the
-    number of refinement rounds of the attempt that gave the partition, and
-    attempts the number of hash weight sets tried (see nerode_partition).
+    occurrence in state order, so state 0 is always in class 0, and reps,
+    a read-only intp array, holds each class's least state in class order.
+    rounds is the number of refinement rounds of the attempt that gave the
+    partition, and attempts the number of hash weight sets tried (see
+    nerode_partition).
     """
 
     class_of: np.ndarray
+    reps: np.ndarray
     class_count: int
     rounds: int
     attempts: int
@@ -129,49 +132,13 @@ def block_rows(letter_count: int) -> int:
     return max(1, BLOCK_ENTRIES // max(1, letter_count))
 
 
-def _numbered_breadth_first(a: Dfa) -> bool:
-    """Is a accessible, with its states already in accessible_part's order?
-
-    Exactly when the initial state is 0, every entry of delta in row-major
-    order is at most one above the largest entry before it (state 0 counts as
-    named first), every state r >= 1 is named in a row before r, and the
-    largest entry is the last state. One linear pass, one row block at a time,
-    so that no table-sized temporary is made.
-    """
-    n, width = a.state_count, a.letter_count
-    if a.initial != 0:
-        return False
-    if width == 0:
-        return n == 1
-    top = 0
-    step = block_rows(width)
-    for lo in range(0, n, step):
-        flat = a.delta[lo:lo + step].reshape(-1)
-        run = np.maximum.accumulate(flat)
-        np.maximum(run, top, out=run)
-        # after each row r but the last, the largest state named is at least r + 1
-        ends = run[width - 1::width][:n - 1 - lo]
-        if (ends <= np.arange(lo, lo + len(ends))).any():
-            return False
-        if flat[0] > top + 1:
-            return False
-        top = int(run[-1])
-        run += 1
-        if (flat[1:] > run[:-1]).any():
-            return False
-    return top == n - 1
-
-
 def accessible_part(a: Dfa) -> Dfa:
-    """Restriction to states reachable from the initial one.
+    """Restriction to states reachable from the initial one, in a fresh table.
 
     States come out in breadth-first discovery order, letters in index order:
-    each frontier block's successors are numbered by first occurrence in
-    (state, letter) order. When a is already accessible and so numbered, which
-    a linear check settles before any search, the result shares a's table.
+    each frontier block's unseen successors are numbered by first occurrence
+    in (state, letter) order. minimize calls it on the small class quotient.
     """
-    if _numbered_breadth_first(a):
-        return Dfa(a.letter_count, a.state_count, 0, a.finals, a.delta, a.letter_labels)
     new_id = np.full(a.state_count, -1, dtype=np.int32)
     new_id[a.initial] = 0
     order = np.empty(a.state_count, dtype=np.int32)
@@ -290,11 +257,12 @@ def _is_stable(a: Dfa, final: np.ndarray, class_of: np.ndarray, reps: np.ndarray
 def nerode_partition(a: Dfa) -> NerodePartition:
     """Language-equivalence classes of the states, by hashed Moore refinement.
 
-    Meaningful as the Nerode partition when a is accessible; minimize() takes
-    care of that. From the finality split, each round (_hashed_round) gives
-    two states one colour when their signatures (own colour, successor
-    colours) hash to one key, and the refinement stops at the first round
-    whose partition passes an exact check (_is_stable).
+    Two states share a class exactly when they accept the same words.
+    Every state is classed, reachable or not: the argument below never asks
+    which states are reachable. From the finality split, each round
+    (_hashed_round) gives two states one colour when their signatures (own
+    colour, successor colours) hash to one key, and the refinement stops at
+    the first round whose partition passes an exact check (_is_stable).
 
     Why the result is exact. Equal signatures always get equal keys, so a
     round can only merge states that Moore's round would separate. By
@@ -334,33 +302,33 @@ def nerode_partition(a: Dfa) -> NerodePartition:
                 rank[color[reps]] = np.arange(len(reps), dtype=np.int32)
                 class_of = rank[color]
                 class_of.flags.writeable = False
-                return NerodePartition(class_of, len(reps), rounds, attempt + 1)
+                reps.flags.writeable = False
+                return NerodePartition(class_of, reps, len(reps), rounds, attempt + 1)
             if len(reps) <= count:
                 break
             count = len(reps)
 
 
 def minimize(a: Dfa) -> Dfa:
-    """The minimal complete DFA for L(a): accessible part, then class quotient."""
-    acc = accessible_part(a)
-    part = nerode_partition(acc)
-    if part.class_count == acc.state_count:
-        return acc
-    # classes are numbered by first occurrence, so each one's first state
-    # represents it: the states whose class is above every class before them
+    """The minimal complete DFA for L(a): refine, quotient, then accessible part.
+
+    The class quotient takes each class's row from its least state. It
+    accepts L(a), and its classes are pairwise inequivalent, so its
+    accessible part is the minimal DFA, numbered breadth first from the
+    initial class. An inaccessible input is refined over its unreachable
+    states too; the stx tables minimized in production are accessible.
+    """
+    part = nerode_partition(a)
     class_of = part.class_of
-    is_rep = np.empty(acc.state_count, dtype=bool)
-    is_rep[0] = True
-    np.greater(class_of[1:], np.maximum.accumulate(class_of[:-1]), out=is_rep[1:])
-    reps = np.flatnonzero(is_rep)
-    return Dfa(
-        acc.letter_count,
+    quotient = Dfa(
+        a.letter_count,
         part.class_count,
-        class_of[acc.initial],
-        class_of[acc.finals],
-        class_of[acc.delta[reps]],
-        acc.letter_labels,
+        class_of[a.initial],
+        class_of[a.finals],
+        class_of[a.delta[part.reps]],
+        a.letter_labels,
     )
+    return accessible_part(quotient)
 
 
 def is_equivalent(a: Dfa, b: Dfa) -> bool:

@@ -133,9 +133,10 @@ def star_modifier(
     into one table. When 2^n <= TABLE_ENTRIES, masks are held as int32 and
     map to state ids through a dense int32 array over all 2^n masks; else
     they are held as int64 and map through a sorted array of the masks found
-    so far. Either way state_masks comes out as int64. LimitExceeded is raised once the known subset
-    states exceed cap_states or, times the letter count, TRANSITION_CAP; it
-    is raised up front if a has more than MAX_OPERAND_STATES states.
+    so far. Either way state_masks comes out as int64. LimitExceeded is
+    raised once the known subset states exceed cap_states or, times the
+    letter count, TRANSITION_CAP; it is raised up front if a has more than
+    MAX_OPERAND_STATES states.
     """
     n, letters = a.state_count, a.letter_count
     if n > MAX_OPERAND_STATES:

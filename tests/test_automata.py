@@ -161,33 +161,6 @@ def test_accessible_part_in_one_row_blocks(monkeypatch):
         assert nerode_partition(b).class_count == helpers.distinguishable_classes(a)
 
 
-@settings(max_examples=150, deadline=None)
-@given(dfas(max_states=6), st.sampled_from([None, 1, 3]))
-def test_breadth_first_check_holds_exactly_on_the_bfs_order(a, block_entries):
-    # the linear check must agree with the queue BFS, on a and on the
-    # accessible part the BFS builds from it, in blocks of any size
-    with pytest.MonkeyPatch.context() as mp:
-        if block_entries is not None:
-            mp.setattr(automata, "BLOCK_ENTRIES", block_entries)
-        identity = tuple(range(a.state_count))
-        assert automata._numbered_breadth_first(a) == (
-            a.initial == 0 and helpers.accessible_order_reference(a) == identity
-        )
-        assert automata._numbered_breadth_first(helpers.accessible_reference(a))
-
-
-@pytest.mark.parametrize(
-    "pair",
-    [witness_pair(3, 3), witness_pair(4, 3), monster2(MonsterSpec.pair(2, 3, {1}, {0}))],
-    ids=["witness (3,3)", "witness (4,3)", "monster (2,3)"],
-)
-def test_accessible_part_shares_the_table_of_stx_outputs(pair):
-    s = stx(*pair)
-    acc = accessible_part(s)
-    assert np.shares_memory(acc.delta, s.delta)
-    assert acc == helpers.accessible_reference(s)
-
-
 # 4 states over 2 letters, accessible and numbered breadth first
 BFS_NUMBERED = ((1, 2), (3, 0), (3, 1), (2, 0))
 
@@ -205,39 +178,61 @@ BFS_NUMBERED = ((1, 2), (3, 0), (3, 1), (2, 0))
     ],
 )
 def test_breadth_first_check_rejects(monkeypatch, block_entries, initial, delta):
+    # tables one step away from breadth-first numbering, in whole or one-entry blocks
     if block_entries is not None:
         monkeypatch.setattr(automata, "BLOCK_ENTRIES", block_entries)
     a = Dfa(2, len(delta), initial, frozenset({1, 2}), delta)
-    assert not automata._numbered_breadth_first(a)
     assert accessible_part(a) == helpers.accessible_reference(a)
-    numbered = Dfa(2, 4, 0, frozenset({1, 2}), BFS_NUMBERED)
-    assert np.shares_memory(accessible_part(numbered).delta, numbered.delta)
 
 
-def test_accessible_part_makes_no_table_sized_temporary(monkeypatch):
-    # witness (4,4): 33,792 states over 17 letters, checked in row blocks of
-    # 3,855 rows. Beyond the Dfa's own validation of the shared arrays, the
-    # check may hold one block's temporaries: the running maximum (int32),
-    # a bool per entry, and an int64 and a bool per row; 64 KiB covers the
-    # interpreter's own objects. One running maximum over all of delta is
-    # 2.3 MB and does not fit.
+def nerode_peak_bound(n: int, width: int) -> int:
+    """Bytes refinement may hold on n states over width letters in uint16 colours.
+
+    Per state, the int32 and uint16 colours, the finality flag and a uint64
+    key, and one fill block: the intp copy np.take makes of a row block of
+    delta, the uint16 colours gathered from it, the block's five uint64
+    words a row and their high halves, and a uint64 hash a row; 64 KiB
+    covers the interpreter's own objects.
+    """
+    rows = automata.block_rows(8 * width)
+    assert rows < n
+    return n * (4 + 2 + 1 + 8) + rows * (width * (8 + 2) + 2 * 5 * 8 + 8) + 2**16
+
+
+def test_minimize_makes_no_table_sized_temporary():
+    # witness (4,4): 33,792 states over 17 letters, 848 classes. minimize may
+    # hold what refinement holds and then the quotient: the class
+    # representatives (intp), their rows of delta and those rows' classes
+    # (int32 each) and the accessible part's copy of the latter. A copy of
+    # delta (2.3 MB) or a search over it does not fit.
     s = stx(*witness_pair(4, 4))
     n, width = s.state_count, s.letter_count
-    monkeypatch.setattr(automata, "BLOCK_ENTRIES", 2**16)
-    rows = automata.block_rows(width)
-    assert (n, width) == (33792, 17) and rows < n
+    assert (n, width) == (33792, 17)
+    classes = 848
+    bound = nerode_peak_bound(n, width) + classes * (8 + 3 * width * 4)
+    tracemalloc.start()
+    try:
+        m = minimize(s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert m.state_count == classes
+    assert peak < bound
+    assert peak + n * width * 4 > bound
 
-    def peak(build) -> tuple[Dfa, int]:
-        tracemalloc.start()
-        try:
-            return build(), tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
 
-    shared, validation = peak(lambda: Dfa(width, n, 0, s.finals, s.delta, s.letter_labels))
-    acc, used = peak(lambda: accessible_part(s))
-    assert acc == shared and np.shares_memory(acc.delta, s.delta)
-    assert used < validation + rows * (width * 5 + 9) + 2**16
+@pytest.mark.parametrize(
+    "pair",
+    [witness_pair(3, 3), monster2(MonsterSpec.pair(2, 3, {1}, {0}))],
+    ids=["witness (3,3)", "monster (2,3)"],
+)
+def test_unreachable_states_leave_the_minimal_table_unchanged(pair):
+    # the full table holds all 2^(n1*n2) masks, most of them unreachable
+    full = stx(*pair, full=True)
+    reachable = stx(*pair)
+    assert full.state_count == 2 ** (pair[0].state_count * pair[1].state_count)
+    assert full.state_count > reachable.state_count
+    assert minimize(full) == minimize(reachable)
 
 
 def test_run_and_accepts():
@@ -340,17 +335,11 @@ def test_nerode_partition_keeps_no_second_table():
 
 
 def test_nerode_partition_holds_no_signature_table():
-    # witness (4,4): 33,792 states over 17 letters, 848 classes. Refinement
-    # may hold, per state, the int32 and uint16 colours, the finality flag
-    # and a uint64 key, and one fill block: the intp copy np.take makes of a
-    # row block of delta, the uint16 colours gathered from it, the block's
-    # five uint64 words a row and their high halves, and a uint64 hash a
-    # row; 64 KiB covers the interpreter's own objects
+    # witness (4,4): 33,792 states over 17 letters, 848 classes
     acc = stx(*witness_pair(4, 4))
     n, width = acc.state_count, acc.letter_count
-    rows = automata.block_rows(8 * width)
-    assert (n, width) == (33792, 17) and rows < n
-    bound = n * (4 + 2 + 1 + 8) + rows * (width * (8 + 2) + 2 * 5 * 8 + 8) + 2**16
+    assert (n, width) == (33792, 17)
+    bound = nerode_peak_bound(n, width)
     tracemalloc.start()
     try:
         part = nerode_partition(acc)
