@@ -15,7 +15,6 @@ from .automata import (
 from .modifiers import (
     DEFAULT_STATE_CAP,
     SubsetDfa,
-    check_1_uniformity,
     star_modifier,
     stx,
     xor_modifier,
@@ -62,7 +61,6 @@ __all__ = [
     "DEFAULT_STATE_CAP",
     "DEFAULT_LETTER_CAP",
     "accessible_part",
-    "check_1_uniformity",
     "count_constrained",
     "count_rtf",
     "count_rtf_pinned",

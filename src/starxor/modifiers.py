@@ -9,16 +9,10 @@ renamings by design.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
 
 import numpy as np
 
-from .automata import (
-    Dfa,
-    block_rows,
-    is_equivalent,
-    preimage_by_renaming,
-)
+from .automata import Dfa, block_rows, number_first, unique_first
 from .transforms import LimitExceeded
 
 DEFAULT_STATE_CAP = 2**22
@@ -59,31 +53,6 @@ class SubsetDfa(Dfa):
         return np.array_equal(self.state_masks, other.state_masks)
 
     __hash__ = Dfa.__hash__
-
-
-def _unique_first(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """np.unique(values, return_index=True, return_inverse=True) for a 1-D array.
-
-    The same sorted distinct values, first-occurrence indices and inverse,
-    from one unstable argsort instead of np.unique's stable one: the first
-    occurrence is the least index in each run of equal sorted values. On
-    star_modifier's million-entry blocks this takes about half the time. The
-    inverse is int32, not np.unique's intp: blocks are far below 2^31 values.
-    """
-    perm = np.argsort(values)
-    ranked = values[perm]
-    starts = np.empty(len(values), dtype=bool)
-    starts[:1] = True
-    np.not_equal(ranked[1:], ranked[:-1], out=starts[1:])
-    distinct = ranked[starts]
-    del ranked
-    rank = np.cumsum(starts, dtype=np.int32)
-    rank -= 1
-    inverse = np.empty(len(values), dtype=np.int32)
-    inverse[perm] = rank
-    starts = np.flatnonzero(starts)
-    first = np.minimum.reduceat(perm, starts) if len(starts) else starts
-    return distinct, first, inverse
 
 
 def _image_tables(delta: np.ndarray, dtype: type) -> tuple[np.ndarray, int]:
@@ -214,13 +183,7 @@ def star_modifier(
             np.take(slot, img, out=ids, mode="clip")
             unseen = np.flatnonzero(ids < 0)
             found = img[unseen]
-            # each unseen mask's slot takes the least of the codes (all below
-            # -1) of its positions, which marks its first occurrence; fresh is
-            # then already in first-occurrence order
-            code = np.arange(-1 - len(found), -1, dtype=np.int32)
-            np.minimum.at(slot, found, code)
-            fresh = found[slot[found] == code]
-            slot[fresh] = np.arange(count, count + len(fresh), dtype=np.int32)
+            fresh = number_first(slot, found, count)
             ids[unseen] = slot[found]
             return fresh
     else:
@@ -231,7 +194,7 @@ def star_modifier(
 
         def number(img: np.ndarray, count: int, ids: np.ndarray) -> np.ndarray:
             nonlocal known, known_id
-            values, first, inverse = _unique_first(img)
+            values, first, inverse = unique_first(img)
             at = np.searchsorted(known, values)
             old = known[np.minimum(at, len(known) - 1)] == values
             value_ids = np.empty(len(values), dtype=np.int32)
@@ -310,19 +273,3 @@ def stx(
     """
     return star_modifier(xor_modifier(a, b), full=full, cap_states=cap_states)
 
-
-def check_1_uniformity(
-    modifier: Callable[..., Dfa],
-    dfas: Dfa | Sequence[Dfa],
-    phi: Sequence[int],
-) -> bool:
-    """Does the construction commute with the letter renaming phi?
-
-    Compares modifier(preimages) against preimage(modifier(operands)) as
-    languages. True for any construction that only reads state configurations
-    and per-letter actions.
-    """
-    operands = (dfas,) if isinstance(dfas, Dfa) else tuple(dfas)
-    renamed_first = modifier(*[preimage_by_renaming(d, phi) for d in operands])
-    renamed_last = preimage_by_renaming(modifier(*operands), phi)
-    return is_equivalent(renamed_first, renamed_last)

@@ -10,9 +10,9 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-from .automata import Dfa, minimize
+from .automata import Dfa, minimize, quotient_by_keys
 from .modifiers import stx
-from .tableaux import predicted_complexity
+from .tableaux import predicted_complexity, saturate_masks
 from .transforms import LimitExceeded
 
 VERDICTS = ("pass", "fail", "skipped")
@@ -76,13 +76,23 @@ def measure_stx(
     A cap hit while building the operands or the subset automaton (letters,
     subset states, transitions, or the operand-size limit of subset masks)
     gives (None, the cap's message) instead; otherwise the note is empty.
+
+    The subset table is minimized through its saturation quotient: its
+    states are classed by saturated mask (saturate_masks), the classes are
+    checked exactly to form a congruence that respects finality
+    (quotient_by_keys), and the small quotient is minimized. A partition
+    that passes gives the same minimal DFA, so the size never rests on the
+    saturation lemma, only on the check. When the kernel has no table for
+    the column count or the check fails, the full table is minimized.
     """
     try:
         first, second = build_pair()
         built = stx(first, second, cap_states=cap_states)
-        return minimize(built).state_count, ""
     except LimitExceeded as exc:
         return None, str(exc)
+    keys = saturate_masks(built.state_masks, first.state_count, second.state_count)
+    quotient = None if keys is None else quotient_by_keys(built, keys)
+    return minimize(built if quotient is None else quotient).state_count, ""
 
 
 def verdict(measured: int | None, predicted: int, at_most: bool = False) -> str:

@@ -5,12 +5,13 @@ from __future__ import annotations
 import itertools
 import random
 from collections import deque
-from typing import Iterable
+from typing import Callable, Iterable, Sequence
 
 from starxor import (
     DEFAULT_LETTER_CAP,
     DEFAULT_STATE_CAP,
     Dfa,
+    LimitExceeded,
     MonsterSpec,
     NerodePartition,
     PairLetter,
@@ -18,9 +19,13 @@ from starxor import (
     count_constrained,
     enumerate_all,
     final_zone,
+    is_equivalent,
+    minimize,
     monster2,
+    preimage_by_renaming,
+    stx,
 )
-from starxor.reports import measure_stx, verdict
+from starxor.reports import verdict
 from starxor.transforms import transformation_count
 
 
@@ -61,6 +66,23 @@ def same_language(a: Dfa, b: Dfa) -> bool:
                 seen.add(nxt)
                 queue.append(nxt)
     return True
+
+
+def check_1_uniformity(
+    modifier: Callable[..., Dfa],
+    dfas: Dfa | Sequence[Dfa],
+    phi: Sequence[int],
+) -> bool:
+    """Does the construction commute with the letter renaming phi?
+
+    Compares modifier(preimages) against preimage(modifier(operands)) as
+    languages. True for any construction that only reads state configurations
+    and per-letter actions.
+    """
+    operands = (dfas,) if isinstance(dfas, Dfa) else tuple(dfas)
+    renamed_first = modifier(*[preimage_by_renaming(d, phi) for d in operands])
+    renamed_last = preimage_by_renaming(modifier(*operands), phi)
+    return is_equivalent(renamed_first, renamed_last)
 
 
 def blocks(part: NerodePartition) -> tuple[frozenset[int], ...]:
@@ -471,6 +493,18 @@ def final_sets(n: int) -> list[tuple[int, ...]]:
     return [tuple(q for q in range(n) if mask >> q & 1) for mask in range(1 << n)]
 
 
+def full_table_size(build_pair: Callable[[], tuple[Dfa, Dfa]], cap_states: int) -> int | None:
+    """Minimal star-of-xor size of build_pair() with Nerode over the whole subset table.
+
+    The independent route for measure_stx, which minimizes through the
+    saturation quotient; None when a cap fires.
+    """
+    try:
+        return minimize(stx(*build_pair(), cap_states=cap_states)).state_count
+    except LimitExceeded:
+        return None
+
+
 def sweep_rows_exhaustive(
     n1: int,
     n2: int,
@@ -480,12 +514,13 @@ def sweep_rows_exhaustive(
     """The finals sweep's rows with one construction per final-set pair.
 
     The reference for experiments.sweep_reports, which builds one pair per
-    symmetry orbit; pairs run in the same order.
+    symmetry orbit; pairs run in the same order. Each size comes from
+    full_table_size, not from the saturation quotient that measure_stx uses.
     """
     rows = []
     for f1 in final_sets(n1):
         for f2 in final_sets(n2):
-            measured, _ = measure_stx(
+            measured = full_table_size(
                 lambda: monster2(MonsterSpec.pair(n1, n2, f1, f2), cap_letters=cap_letters),
                 cap_states,
             )

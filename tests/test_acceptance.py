@@ -20,7 +20,6 @@ import helpers
 
 from starxor import (
     MonsterSpec,
-    check_1_uniformity,
     final_zone,
     minimize,
     monster2,
@@ -203,13 +202,13 @@ def test_criterion_7_modifiers_commute_with_renamings(capsys):
     for _ in range(100):
         a = helpers.random_dfa(rng, max_states=4, max_letters=4)
         phi = helpers.random_renaming(rng, a.letter_count)
-        ok = ok and check_1_uniformity(star_modifier, (a,), phi)
+        ok = ok and helpers.check_1_uniformity(star_modifier, (a,), phi)
     for modifier in (xor_modifier, stx):
         for _ in range(100):
             a = helpers.random_dfa(rng, max_states=4, max_letters=4)
             b = helpers.random_dfa_over(rng, a.letter_count, max_states=4)
             phi = helpers.random_renaming(rng, a.letter_count)
-            ok = ok and check_1_uniformity(modifier, (a, b), phi)
+            ok = ok and helpers.check_1_uniformity(modifier, (a, b), phi)
     assert _report(
         capsys,
         7,

@@ -161,6 +161,15 @@ def test_accessible_part_in_one_row_blocks(monkeypatch):
         assert nerode_partition(b).class_count == helpers.distinguishable_classes(a)
 
 
+def test_accessible_part_on_a_wide_alphabet():
+    # the (2,3) monster's 108 letters send most rows to a few states, so each
+    # block's unseen targets repeat many times
+    a = stx(*monster2(MonsterSpec.pair(2, 3, {1}, {0})))
+    shuffled = Dfa(a.letter_count, a.state_count, a.state_count - 1, a.finals, a.delta[::-1])
+    for b in (a, shuffled):
+        assert accessible_part(b) == helpers.accessible_reference(b)
+
+
 # 4 states over 2 letters, accessible and numbered breadth first
 BFS_NUMBERED = ((1, 2), (3, 0), (3, 1), (2, 0))
 
@@ -258,6 +267,53 @@ def test_minimize_of_empty_and_full_languages():
     assert minimize(empty).state_count == 1
     full = Dfa(1, 2, 0, frozenset({0, 1}), ((1,), (0,)))
     assert minimize(full).state_count == 1
+
+
+def test_quotient_by_keys_refuses_what_is_not_a_congruence():
+    # 0 -> 1 -> 2 -> 2 on one letter, 2 final
+    a = Dfa(1, 3, 0, frozenset({2}), ((1,), (2,), (2,)))
+    # {0, 1} respects finality, but 0 steps into it and 1 out of it
+    assert automata.quotient_by_keys(a, np.array([0, 0, 1])) is None
+    # {1, 2} is a congruence class that mixes finality
+    assert automata.quotient_by_keys(a, np.array([0, 1, 1])) is None
+    q = automata.quotient_by_keys(a, np.array([9, 5, 7]))
+    assert q.state_count == 3
+    assert minimize(q) == minimize(a)
+
+
+def _is_congruence_reference(a, keys):
+    rows, finals = a.delta.tolist(), set(a.finals.tolist())
+    first = {}
+    for q in range(a.state_count):
+        p = first.setdefault(keys[q], q)
+        if (p in finals) != (q in finals):
+            return False
+        if any(keys[s] != keys[t] for s, t in zip(rows[p], rows[q])):
+            return False
+    return True
+
+
+@settings(max_examples=200, deadline=None)
+@given(dfas(max_states=6), st.data(), st.sampled_from([1, -1, 2**40]))
+def test_quotient_by_keys_accepts_exactly_the_congruences(a, data, scale):
+    # negative and wide keys number their classes as small ones do
+    n = a.state_count
+    keys = data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    q = automata.quotient_by_keys(a, np.array(keys, dtype=np.int64) * scale)
+    assert (q is not None) == _is_congruence_reference(a, keys)
+    if q is not None:
+        assert q.state_count == len(set(keys))
+        assert helpers.same_language(q, a)
+        assert minimize(q) == minimize(a)
+
+
+@settings(max_examples=100, deadline=None)
+@given(dfas(max_states=8))
+def test_quotient_by_the_nerode_classes_is_accepted(a):
+    part = nerode_partition(a)
+    q = automata.quotient_by_keys(a, part.class_of)
+    assert q.state_count == part.class_count
+    assert minimize(q) == minimize(a)
 
 
 def test_nerode_partition_respects_finality():

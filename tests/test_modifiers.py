@@ -12,7 +12,6 @@ from starxor import (
     Dfa,
     LimitExceeded,
     MonsterSpec,
-    check_1_uniformity,
     monster1,
     monster2,
     star_modifier,
@@ -156,13 +155,13 @@ def test_modifiers_commute_with_renamings_spot_checks():
     for _ in range(20):
         a = helpers.random_dfa(rng, max_states=3, max_letters=3)
         phi = helpers.random_renaming(rng, a.letter_count)
-        assert check_1_uniformity(star_modifier, a, phi)
+        assert helpers.check_1_uniformity(star_modifier, a, phi)
     for _ in range(20):
         a = helpers.random_dfa(rng, max_states=3, max_letters=3)
         b = helpers.random_dfa_over(rng, a.letter_count, max_states=3)
         phi = helpers.random_renaming(rng, a.letter_count)
-        assert check_1_uniformity(xor_modifier, (a, b), phi)
-        assert check_1_uniformity(stx, (a, b), phi)
+        assert helpers.check_1_uniformity(xor_modifier, (a, b), phi)
+        assert helpers.check_1_uniformity(stx, (a, b), phi)
 
 
 def test_minimized_star_still_recognizes_the_star():
@@ -319,7 +318,7 @@ def test_unique_first_is_np_unique():
     for size in (0, 1, 2, 50, 5000):
         values = rng.integers(0, max(1, size // 3), size).astype(np.int64)
         expected = np.unique(values, return_index=True, return_inverse=True)
-        got = modifiers._unique_first(values)
+        got = automata.unique_first(values)
         for e, g in zip(expected, got):
             assert np.array_equal(e.reshape(-1), g), size
         # half the bytes of np.unique's intp inverse

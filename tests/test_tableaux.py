@@ -1,11 +1,14 @@
 """Tableau oracles, saturation, and the counting machinery.
 
-Tableaux are row-major int masks; the predicates and saturation are the
-oracles in helpers.
+Tableaux are row-major int masks; the predicates and the pairwise-union
+saturation are the oracles in helpers, and saturate_masks is checked
+against the latter.
 """
 
 import itertools
+import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,7 +26,14 @@ from starxor import (
     predicted_complexity,
     stx,
 )
-from starxor.tableaux import _count_profile, cell_bit
+from starxor.automata import BLOCK_ENTRIES, block_rows
+from starxor.tableaux import (
+    SATURATION_TABLE_ENTRIES,
+    _count_profile,
+    _partition_tables,
+    cell_bit,
+    saturate_masks,
+)
 
 
 def cells_mask(n2, cells):
@@ -113,6 +123,64 @@ def test_saturation_preserves_zone_freedom_and_the_corner():
         if mask & 1 or not mask & z.zone:
             s = saturate_mask(mask, 3, 3)
             assert s & 1 or not s & z.zone
+
+
+@pytest.mark.parametrize("n1, n2", [(2, 2), (2, 3), (3, 2), (3, 3), (4, 3), (3, 4)])
+def test_saturate_masks_matches_the_pairwise_union_on_every_mask(n1, n2):
+    masks = np.arange(1 << (n1 * n2), dtype=np.int64)
+    got = saturate_masks(masks, n1, n2)
+    assert got.dtype == np.int32
+    assert got.tolist() == [saturate_mask(mask, n1, n2) for mask in range(len(masks))]
+
+
+@pytest.mark.parametrize("n1, n2", [(5, 5), (6, 5), (9, 7)])
+def test_saturate_masks_matches_the_pairwise_union_on_sampled_int64_masks(n1, n2):
+    # sizes past the dense mask map, where stx numbers masks with a sorted map;
+    # an AND of two draws keeps the masks sparse enough to have several components
+    rng = np.random.default_rng(n1 * 10 + n2)
+    top = 1 << (n1 * n2)
+    masks = rng.integers(0, top, 2000, dtype=np.int64) & rng.integers(0, top, 2000, dtype=np.int64)
+    got = saturate_masks(masks, n1, n2)
+    assert got.dtype == (np.int32 if n1 * n2 <= 31 else np.int64)
+    assert got.tolist() == [saturate_mask(int(mask), n1, n2) for mask in masks]
+
+
+@settings(max_examples=200, deadline=None)
+@given(tableaux(max_side=5))
+def test_saturate_masks_matches_the_pairwise_union_at_any_shape(t):
+    n1, n2, mask = t
+    got = saturate_masks(np.array([mask, 0], dtype=np.int64), n1, n2)
+    assert got.tolist() == [saturate_mask(mask, n1, n2), 0]
+
+
+def test_saturate_masks_in_blocks_of_one_mask(monkeypatch):
+    monkeypatch.setattr("starxor.tableaux.block_rows", lambda rows: 1)
+    masks = np.arange(1 << 9, dtype=np.int64)
+    assert saturate_masks(masks, 3, 3).tolist() == [saturate_mask(m, 3, 3) for m in range(1 << 9)]
+
+
+def test_saturate_masks_has_tables_up_to_seven_columns():
+    bell = [1, 1, 2, 5, 15, 52, 203, 877, 4140]
+    for n2 in range(8):
+        merge, cover, start = _partition_tables(n2)
+        assert len(merge) == len(cover) == bell[n2] << n2
+        assert len(merge) <= SATURATION_TABLE_ENTRIES
+    assert _partition_tables(8) is None
+    assert saturate_masks(np.arange(4, dtype=np.int64), 1, 8) is None
+
+
+def test_saturate_masks_holds_no_mask_sized_temporary():
+    # 2^20 masks at (5,4), five blocks: past the int32 result, the blocks'
+    # int32 masks, uint8 rows, partition states, indices, shifted rows and
+    # the intp copy np.take makes of an index block
+    masks = np.arange(1 << 20, dtype=np.int64)
+    tracemalloc.start()
+    try:
+        out = saturate_masks(masks, 5, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= out.nbytes + 4 * 8 * block_rows(5) + BLOCK_ENTRIES + 2**16
 
 
 def test_count_values_from_exhaustive_enumeration():
