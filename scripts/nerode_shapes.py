@@ -1,23 +1,25 @@
-"""Time the subset BFS and Nerode refinement in-process on the benchmarks' shapes.
+"""Time the subset BFS and the measurement path after it in-process on the benchmarks' shapes.
 
     python3 scripts/nerode_shapes.py [--repeat 5] [--src PATH]
 
 Calls `stx` on each shape's operands --repeat times and prints the fastest
 call in ms with a digest of the subset table's `delta` and `state_masks`.
-Then it calls `nerode_partition` on that table, which is what `minimize`
-refines, --repeat times and prints the fastest call in ms, with the states,
-letters, classes, refinement rounds and hash attempts of the partition and
-a digest of its `class_of`. Last it calls `minimize` on the table --repeat
-times and prints the fastest call in ms with a digest of the minimal DFA's
-`delta` and finals. Equal digests mean equal tables and partitions, so two
-source trees can be compared shape by shape: --src imports `starxor` from
-another tree's `src` directory (default: this one's). A tree whose
-partitions do not report rounds or attempts prints `-`.
+Then it times the steps `reports.measure_stx` takes after `stx`, each
+--repeat times, fastest call in ms: `saturate_masks` on the table's masks,
+with a digest of the saturated keys; `quotient_by_keys`, the class
+numbering and exact congruence check, with the quotient's state count;
+and `minimize` of that quotient, with its state count and a digest of the
+minimal DFA's `delta` and finals. Equal digests mean equal tables, keys
+and minimal DFAs, so two source trees can be compared kernel for kernel:
+--src imports `starxor` from another tree's `src` directory (default:
+this one's). Where a tree's `saturate_masks` returns None or its check
+refuses the quotient, the key columns print `-` and `minimize` runs on the
+whole table, as `measure_stx` then does.
 
 The shapes: the witness at (5,4), the 532,480-state table of the
-witness-deep benchmark, and at (4,4); the (3,3) monster of two final pairs,
-729 letters each, as in the sweep-wide benchmark; and the full (4,3)
-monster over 6,912 letters.
+witness-deep benchmark, at (4,4) and at (2,8), past 7 columns; the (3,3)
+monster of two final pairs, 729 letters each, as in the sweep-wide
+benchmark; and the full (4,3) monster over 6,912 letters.
 """
 
 from __future__ import annotations
@@ -39,11 +41,14 @@ def main(argv: list[str] | None = None) -> int:
     if args.repeat < 1:
         parser.error("--repeat must be at least 1")
     sys.path.insert(0, str(args.src))
-    from starxor import MonsterSpec, minimize, monster2, nerode_partition, stx, witness_pair
+    from starxor import MonsterSpec, minimize, monster2, stx, witness_pair
+    from starxor.automata import quotient_by_keys
+    from starxor.tableaux import saturate_masks
 
     shapes = [
         ("witness (5,4)", lambda: witness_pair(5, 4)),
         ("witness (4,4)", lambda: witness_pair(4, 4)),
+        ("witness (2,8)", lambda: witness_pair(2, 8)),
         ("monster (3,3) {2} {0}", lambda: monster2(MonsterSpec.pair(3, 3, {2}, {0}))),
         ("monster (3,3) {0,1} {1}", lambda: monster2(MonsterSpec.pair(3, 3, {0, 1}, {1}))),
         ("full monster (4,3)", lambda: monster2(MonsterSpec.pair(4, 3, {3}, {0}))),
@@ -63,25 +68,31 @@ def main(argv: list[str] | None = None) -> int:
         return hashlib.sha256(data).hexdigest()[:12]
 
     print(
-        "| shape | stx ms | stx sha256 | states | letters | classes | rounds | attempts "
-        "| best ms | class_of sha256 | minimize ms | minimal sha256 |"
+        "| shape | stx ms | stx sha256 | states | letters | saturate ms | keys sha256 "
+        "| quotient ms | quotient states | minimize ms | classes | minimal sha256 |"
     )
     print("|---|---|---|---|---|---|---|---|---|---|---|---|")
     for name, operands in shapes:
-        pair = operands()
-        subsets, stx_best = fastest(lambda: stx(*pair))
-        stx_digest = digest(subsets.delta, subsets.state_masks)
-        part, best = fastest(lambda: nerode_partition(subsets))
-        rounds, attempts = (getattr(part, key, "-") for key in ("rounds", "attempts"))
-        minimal, minimize_best = fastest(lambda: minimize(subsets))
+        first, second = operands()
+        subsets, stx_best = fastest(lambda: stx(first, second))
+        n1, n2 = first.state_count, second.state_count
+        keys, saturate_best = fastest(lambda: saturate_masks(subsets.state_masks, n1, n2))
+        quotient, quotient_best = None, None
+        if keys is not None:
+            quotient, quotient_best = fastest(lambda: quotient_by_keys(subsets, keys))
+        table = subsets if quotient is None else quotient
+        minimal, minimize_best = fastest(lambda: minimize(table))
         print(
-            f"| {name} | {stx_best * 1e3:.1f} | {stx_digest} | {subsets.state_count:,} "
-            f"| {subsets.letter_count:,} | {part.class_count:,} | {rounds} | {attempts} "
-            f"| {best * 1e3:.1f} | {digest(part.class_of)} "
-            f"| {minimize_best * 1e3:.1f} | {digest(minimal.delta, minimal.finals)} |",
+            f"| {name} | {stx_best * 1e3:.1f} | {digest(subsets.delta, subsets.state_masks)} "
+            f"| {subsets.state_count:,} | {subsets.letter_count:,} "
+            f"| {saturate_best * 1e3:.1f} | {'-' if keys is None else digest(keys)} "
+            f"| {'-' if quotient_best is None else f'{quotient_best * 1e3:.1f}'} "
+            f"| {'-' if quotient is None else f'{quotient.state_count:,}'} "
+            f"| {minimize_best * 1e3:.1f} | {minimal.state_count:,} "
+            f"| {digest(minimal.delta, minimal.finals)} |",
             flush=True,
         )
-        del subsets, part, minimal
+        del subsets, keys, quotient, table, minimal
     return 0
 
 

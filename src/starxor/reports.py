@@ -82,8 +82,8 @@ def measure_stx(
     checked exactly to form a congruence that respects finality
     (quotient_by_keys), and the small quotient is minimized. A partition
     that passes gives the same minimal DFA, so the size never rests on the
-    saturation lemma, only on the check. When the kernel has no table for
-    the column count or the check fails, the full table is minimized.
+    saturation lemma, only on the check. When the check fails, the full
+    table is minimized.
     """
     try:
         first, second = build_pair()
@@ -91,7 +91,7 @@ def measure_stx(
     except LimitExceeded as exc:
         return None, str(exc)
     keys = saturate_masks(built.state_masks, first.state_count, second.state_count)
-    quotient = None if keys is None else quotient_by_keys(built, keys)
+    quotient = quotient_by_keys(built, keys)
     return minimize(built if quotient is None else quotient).state_count, ""
 
 

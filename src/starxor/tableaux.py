@@ -9,7 +9,7 @@ saturation are test oracles in tests/helpers.py.
 
 from __future__ import annotations
 
-import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable
@@ -20,11 +20,6 @@ from .automata import block_rows
 
 # Read only by perfbench/tracing.py, which refuses to start without it.
 EXHAUSTIVE_CELL_BUDGET = 20
-
-# Bound on the entries of saturate_masks's two tables (column partitions x
-# row values): up to 7 columns fit (877 x 128), and building those tables
-# takes under 20 ms.
-SATURATION_TABLE_ENTRIES = 2**17
 
 
 def cell_bit(x: int, y: int, n2: int) -> int:
@@ -146,91 +141,45 @@ def count_constrained(z: FinalZone) -> int:
     return count
 
 
-@functools.lru_cache(maxsize=None)
-def _partition_tables(n2: int) -> tuple[np.ndarray, np.ndarray, int] | None:
-    """The column-partition walk of saturate_masks on n2 columns.
-
-    Returns (merge, cover, start), or None when the tables would exceed
-    SATURATION_TABLE_ENTRIES. A partition p of the columns is indexed with a
-    row value r (a column mask) at p << n2 | r. merge there holds q << n2,
-    where q is p with every block that meets r joined into one; cover holds
-    the union of the blocks of p that meet r. start is the partition into
-    singletons, shifted likewise. A partition is held as its block masks,
-    one per column (the mask of the columns in that column's block), and is
-    found by naming each column's block by its least column: column y's
-    name is at most y, so the names read as one number in the factorial
-    number system index a table of n2! slots.
-    """
-    labels: list[list[int]] = [[]]
-    for _ in range(n2):
-        # every partition, as restricted growth strings
-        labels = [p + [b] for p in labels for b in range(max(p, default=-1) + 2)]
-        if len(labels) << n2 > SATURATION_TABLE_ENTRIES:
-            return None
-    count = len(labels)
-    held = np.array(labels, dtype=np.uint8).reshape(count, n2).T
-    columns = np.arange(n2, dtype=np.uint8)
-    # blocks[y, p] is the mask of the columns in column y's block of partition p
-    blocks = np.bitwise_or.reduce(
-        (held[:, None, :] == held[None, :, :]).astype(np.uint8) << columns[:, None], axis=1
-    )
-    # least[v] is the least column of the column mask v
-    least = np.zeros(1 << n2, dtype=np.int32)
-    least[1:] = [(v & -v).bit_length() - 1 for v in range(1, 1 << n2)]
-    radix = np.array([math.factorial(y) for y in range(n2)], dtype=np.int32)
-    slot = np.empty(math.factorial(n2), dtype=np.int32)
-    slot[np.tensordot(radix, least[blocks], axes=1)] = np.arange(count, dtype=np.int32)
-    cover = np.zeros((count, 1 << n2), dtype=np.uint8)
-    for b in range(n2):
-        cover[:, 1 << b:2 << b] = cover[:, :1 << b] | blocks[b, :, None]
-    # column y's block after the join: the cover, if y lies in it
-    joined = np.where(cover >> columns[:, None, None] & 1 != 0, cover, blocks[:, :, None])
-    merge = slot[np.tensordot(radix, least[joined], axes=1)] << n2
-    # the singletons name each column by itself, and sum(y * y!) = n2! - 1
-    start = int(slot[math.factorial(n2) - 1]) << n2
-    # every caller shares the cached tables
-    merge.flags.writeable = cover.flags.writeable = False
-    return merge.reshape(-1), cover.reshape(-1), start
-
-
-def saturate_masks(masks: np.ndarray, n1: int, n2: int) -> np.ndarray | None:
-    """The saturation of each row-major n1 x n2 mask, or None past 7 columns.
+def saturate_masks(masks: np.ndarray, n1: int, n2: int) -> np.ndarray:
+    """The saturation of each row-major n1 x n2 mask.
 
     Saturation joins two rows whenever they share a column and fills each
     component, rows R by columns C, to the full rectangle R x C: the least
-    right-triangle-free superset of the mask. The rows of each mask walk
-    through a table of column partitions (_partition_tables): after rows
-    0..x, two columns share a block exactly when those rows connect them.
-    After the last row, each row's saturated columns are the block its
-    columns lie in, read from a cover table, so a mask costs 2 * n1 gathers.
-    Masks go a block at a time, held as uint8 rows; the result is int32 up
-    to 31 bits, else int64. None when the tables for n2 columns would exceed
-    SATURATION_TABLE_ENTRIES.
+    right-triangle-free superset of the mask. Each row x holds a column set
+    c_x, at first its own columns; in each round, every pair of sets that
+    meet is replaced by their union. After k rounds c_x holds every row
+    within distance 2**k - 1 of x in the graph of rows that share a column,
+    and never a row outside x's component, so (n1 - 1).bit_length() rounds
+    leave c_x = C. Masks go a block at a time, with rows in the narrowest
+    unsigned type for n2 bits; the result is int32 up to 31 bits, else int64.
     """
-    tables = _partition_tables(n2)
-    if tables is None:
-        return None
-    merge, cover, start = tables
     masks = np.asarray(masks)
     dtype = np.int32 if n1 * n2 <= 31 else np.int64
     width = (1 << n2) - 1
+    row_type = np.min_scalar_type(width)
     out = np.zeros(len(masks), dtype=dtype)
     step = block_rows(n1)
     for lo in range(0, len(masks), step):
         block = masks[lo:lo + step].astype(dtype)
-        rows = np.empty((n1, len(block)), dtype=np.uint8)
+        cover = np.empty((n1, len(block)), dtype=row_type)
         for x in range(n1):
-            np.bitwise_and(block >> (x * n2), width, out=rows[x], casting="unsafe")
-        state = np.full(len(block), start, dtype=np.int32)
-        index = np.empty_like(state)
-        for x in range(n1):
-            np.bitwise_or(state, rows[x], out=index)
-            np.take(merge, index, out=state)
+            np.bitwise_and(block >> (x * n2), width, out=cover[x], casting="unsafe")
+        union = np.empty(len(block), dtype=row_type)
+        meet = np.empty(len(block), dtype=bool)
+        for _ in range((n1 - 1).bit_length()):
+            for x, y in itertools.combinations(range(n1), 2):
+                np.bitwise_and(cover[x], cover[y], out=union)
+                np.not_equal(union, 0, out=meet)
+                # where the two sets meet, both become their union
+                np.bitwise_or(cover[x], cover[y], out=union)
+                union *= meet
+                cover[x] |= union
+                cover[y] |= union
         sat = out[lo:lo + len(block)]
         for x in range(n1):
-            np.bitwise_or(state, rows[x], out=index)
             # block, no longer needed, holds row x's saturated columns
-            block[:] = np.take(cover, index)
+            block[:] = cover[x]
             block <<= x * n2
             sat |= block
     return out

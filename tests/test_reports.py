@@ -22,7 +22,7 @@ from starxor.automata import quotient_by_keys
 from starxor.reports import measure_stx
 from starxor.tableaux import saturate_masks
 
-WITNESS_SIZES = [(2, 2), (2, 3), (3, 2), (3, 3), (4, 3), (3, 4), (4, 4), (5, 4)]
+WITNESS_SIZES = [(2, 2), (2, 3), (3, 2), (3, 3), (4, 3), (3, 4), (4, 4), (5, 4), (2, 8)]
 
 
 def saturation_quotient(pair):
@@ -92,13 +92,20 @@ def test_a_partition_that_is_not_a_congruence_leaves_the_full_table(monkeypatch)
     assert refused == [True, True, True]
 
 
-def test_no_kernel_table_past_seven_columns_leaves_the_full_table(monkeypatch):
-    pair = (helpers.cycle_dfa(2), helpers.cycle_dfa(8))
-    assert saturate_masks(stx(*pair).state_masks, 2, 8) is None
+@pytest.mark.parametrize("n1, n2, size", [(2, 8, 2570), (8, 2, 2570), (2, 9, 7328)])
+def test_wide_and_tall_witnesses_take_the_checked_quotient(monkeypatch, n1, n2, size):
     calls = []
-    monkeypatch.setattr(reports, "quotient_by_keys", lambda *args: calls.append(args))
-    assert measure_stx(lambda: pair, 2**22) == (helpers.full_table_size(lambda: pair, 2**22), "")
-    assert calls == []
+
+    def spy(a, keys):
+        q = quotient_by_keys(a, keys)
+        calls.append(q is not None)
+        return q
+
+    monkeypatch.setattr(reports, "quotient_by_keys", spy)
+    build = lambda: witness_pair(n1, n2)
+    assert measure_stx(build, 2**22) == (size, "")
+    assert calls == [True]
+    assert helpers.full_table_size(build, 2**22) == size == predicted_complexity(n1, n2) - 1
 
 
 def test_measure_stx_minimizes_the_quotient_not_the_table(monkeypatch):

@@ -27,13 +27,7 @@ from starxor import (
     stx,
 )
 from starxor.automata import BLOCK_ENTRIES, block_rows
-from starxor.tableaux import (
-    SATURATION_TABLE_ENTRIES,
-    _count_profile,
-    _partition_tables,
-    cell_bit,
-    saturate_masks,
-)
+from starxor.tableaux import _count_profile, cell_bit, saturate_masks
 
 
 def cells_mask(n2, cells):
@@ -41,9 +35,9 @@ def cells_mask(n2, cells):
 
 
 @st.composite
-def tableaux(draw, max_side=4):
+def tableaux(draw, max_side=4, max_cols=None):
     n1 = draw(st.integers(0, max_side))
-    n2 = draw(st.integers(0, max_side))
+    n2 = draw(st.integers(0, max_side if max_cols is None else max_cols))
     mask = draw(st.integers(0, (1 << (n1 * n2)) - 1))
     return n1, n2, mask
 
@@ -133,10 +127,13 @@ def test_saturate_masks_matches_the_pairwise_union_on_every_mask(n1, n2):
     assert got.tolist() == [saturate_mask(mask, n1, n2) for mask in range(len(masks))]
 
 
-@pytest.mark.parametrize("n1, n2", [(5, 5), (6, 5), (9, 7)])
+@pytest.mark.parametrize(
+    "n1, n2", [(2, 8), (3, 9), (5, 5), (6, 5), (9, 7), (7, 9), (1, 63)]
+)
 def test_saturate_masks_matches_the_pairwise_union_on_sampled_int64_masks(n1, n2):
-    # sizes past the dense mask map, where stx numbers masks with a sorted map;
-    # an AND of two draws keeps the masks sparse enough to have several components
+    # past 7 columns, past the dense mask map where stx numbers masks with a
+    # sorted map, and up to bit 62, with uint8, uint16 and uint64 rows; an AND
+    # of two draws keeps the masks sparse enough to have several components
     rng = np.random.default_rng(n1 * 10 + n2)
     top = 1 << (n1 * n2)
     masks = rng.integers(0, top, 2000, dtype=np.int64) & rng.integers(0, top, 2000, dtype=np.int64)
@@ -146,7 +143,7 @@ def test_saturate_masks_matches_the_pairwise_union_on_sampled_int64_masks(n1, n2
 
 
 @settings(max_examples=200, deadline=None)
-@given(tableaux(max_side=5))
+@given(st.one_of(tableaux(max_side=5), tableaux(max_side=3, max_cols=12)))
 def test_saturate_masks_matches_the_pairwise_union_at_any_shape(t):
     n1, n2, mask = t
     got = saturate_masks(np.array([mask, 0], dtype=np.int64), n1, n2)
@@ -159,20 +156,10 @@ def test_saturate_masks_in_blocks_of_one_mask(monkeypatch):
     assert saturate_masks(masks, 3, 3).tolist() == [saturate_mask(m, 3, 3) for m in range(1 << 9)]
 
 
-def test_saturate_masks_has_tables_up_to_seven_columns():
-    bell = [1, 1, 2, 5, 15, 52, 203, 877, 4140]
-    for n2 in range(8):
-        merge, cover, start = _partition_tables(n2)
-        assert len(merge) == len(cover) == bell[n2] << n2
-        assert len(merge) <= SATURATION_TABLE_ENTRIES
-    assert _partition_tables(8) is None
-    assert saturate_masks(np.arange(4, dtype=np.int64), 1, 8) is None
-
-
 def test_saturate_masks_holds_no_mask_sized_temporary():
-    # 2^20 masks at (5,4), five blocks: past the int32 result, the blocks'
-    # int32 masks, uint8 rows, partition states, indices, shifted rows and
-    # the intp copy np.take makes of an index block
+    # 2^20 masks at (5,4), five blocks: past the int32 result, a block's
+    # int32 masks and shifted rows, its uint8 column sets, the union and the
+    # meet flags
     masks = np.arange(1 << 20, dtype=np.int64)
     tracemalloc.start()
     try:
