@@ -2,15 +2,17 @@
 
     python3 scripts/nerode_shapes.py [--repeat 5] [--src PATH]
 
-Calls `stx` on each shape's operands --repeat times and prints the fastest
-call in ms with a digest of the subset table's `delta` and `state_masks`.
+Builds each shape's operands --repeat times and prints the fastest build
+in ms with a digest of both operands' `delta` and `finals`. Then it calls
+`stx` on them --repeat times and prints the fastest call in ms with a
+digest of the subset table's `delta` and `state_masks`.
 Then it times the steps `reports.measure_stx` takes after `stx`, each
 --repeat times, fastest call in ms: `saturate_masks` on the table's masks,
 with a digest of the saturated keys; `quotient_by_keys`, the class
 numbering and exact congruence check, with the quotient's state count;
 and `minimize` of that quotient, with its state count and a digest of the
-minimal DFA's `delta` and finals. Equal digests mean equal tables, keys
-and minimal DFAs, so two source trees can be compared kernel for kernel:
+minimal DFA's `delta` and finals. Equal digests mean equal operands, tables,
+keys and minimal DFAs, so two source trees can be compared kernel for kernel:
 --src imports `starxor` from another tree's `src` directory (default:
 this one's). Where a tree's `saturate_masks` returns None or its check
 refuses the quotient, the key columns print `-` and `minimize` runs on the
@@ -68,12 +70,13 @@ def main(argv: list[str] | None = None) -> int:
         return hashlib.sha256(data).hexdigest()[:12]
 
     print(
-        "| shape | stx ms | stx sha256 | states | letters | saturate ms | keys sha256 "
-        "| quotient ms | quotient states | minimize ms | classes | minimal sha256 |"
+        "| shape | operands ms | operands sha256 | stx ms | stx sha256 | states | letters "
+        "| saturate ms | keys sha256 | quotient ms | quotient states | minimize ms | classes "
+        "| minimal sha256 |"
     )
-    print("|---|---|---|---|---|---|---|---|---|---|---|---|")
+    print("|---|---|---|---|---|---|---|---|---|---|---|---|---|---|")
     for name, operands in shapes:
-        first, second = operands()
+        (first, second), operands_best = fastest(operands)
         subsets, stx_best = fastest(lambda: stx(first, second))
         n1, n2 = first.state_count, second.state_count
         keys, saturate_best = fastest(lambda: saturate_masks(subsets.state_masks, n1, n2))
@@ -83,7 +86,9 @@ def main(argv: list[str] | None = None) -> int:
         table = subsets if quotient is None else quotient
         minimal, minimize_best = fastest(lambda: minimize(table))
         print(
-            f"| {name} | {stx_best * 1e3:.1f} | {digest(subsets.delta, subsets.state_masks)} "
+            f"| {name} | {operands_best * 1e3:.2f} "
+            f"| {digest(first.delta, first.finals, second.delta, second.finals)} "
+            f"| {stx_best * 1e3:.1f} | {digest(subsets.delta, subsets.state_masks)} "
             f"| {subsets.state_count:,} | {subsets.letter_count:,} "
             f"| {saturate_best * 1e3:.1f} | {'-' if keys is None else digest(keys)} "
             f"| {'-' if quotient_best is None else f'{quotient_best * 1e3:.1f}'} "

@@ -7,7 +7,7 @@ import json
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
-from typing import Any, Iterable
+from typing import Any, Callable, Iterable
 
 from .automata import Dfa, export_dot, export_json, preimage_by_renaming
 from .modifiers import DEFAULT_STATE_CAP, star_modifier
@@ -20,6 +20,7 @@ from .tableaux import (
     final_zone,
     predicted_complexity,
 )
+from .transforms import enumerate_all
 from .witness import verify_witness, witness_pair
 
 SC_METHODS = ("formula", "full-monster", "witness", "all")
@@ -255,7 +256,8 @@ def write_sweep_csv(rows: Iterable[dict[str, Any]], path: str) -> None:
 
 
 def _reference_monster() -> Dfa:
-    return monster1(2, {1})
+    # the one monster whose letters any output names, so it carries their labels
+    return replace(monster1(2, {1}), letter_labels=tuple(t.render() for t in enumerate_all(2)))
 
 
 def _reference_renamed() -> Dfa:
@@ -263,59 +265,56 @@ def _reference_renamed() -> Dfa:
     return preimage_by_renaming(_reference_monster(), (1, 3), ("a", "b"))
 
 
-REFERENCE_CHECKS: tuple[tuple[str, str], ...] = (
-    ("example-monster", "2-state monster, finals {1}"),
-    ("star-monster", "star of the 2-state monster, all four subsets"),
-    ("renamed-dfa", "two-letter renaming of the 2-state monster"),
-    ("star-renamed", "star of the two-letter renaming, all four subsets"),
-)
-
-_EXPECTED_TABLES: dict[str, dict[str, Any]] = {
-    "example-monster": {
-        "labels": ("[00]", "[01]", "[10]", "[11]"),
-        "delta": ((0, 0, 1, 1), (0, 1, 0, 1)),
-        "finals": [1],
-        "initial": 0,
-    },
-    # subset states by mask: 0 empty, 1 {0}, 2 {1}, 3 {0,1}
-    "star-monster": {
-        "delta": ((1, 1, 3, 3), (1, 1, 3, 3), (1, 3, 1, 3), (1, 3, 3, 3)),
-        "finals": [0, 2, 3],
-        "initial": 0,
-    },
-    "renamed-dfa": {
-        "labels": ("a", "b"),
-        "delta": ((0, 1), (1, 1)),
-        "finals": [1],
-        "initial": 0,
-    },
-    "star-renamed": {
-        "delta": ((1, 3), (1, 3), (3, 3), (3, 3)),
-        "finals": [0, 2, 3],
-        "initial": 0,
-    },
+# name: (description, build, expected table); subset states of the stars by
+# mask: 0 empty, 1 {0}, 2 {1}, 3 {0,1}
+REFERENCES: dict[str, tuple[str, Callable[[], Dfa], dict[str, Any]]] = {
+    "example-monster": (
+        "2-state monster, finals {1}",
+        _reference_monster,
+        {
+            "labels": ("[00]", "[01]", "[10]", "[11]"),
+            "delta": ((0, 0, 1, 1), (0, 1, 0, 1)),
+            "finals": [1],
+            "initial": 0,
+        },
+    ),
+    "star-monster": (
+        "star of the 2-state monster, all four subsets",
+        lambda: star_modifier(_reference_monster(), full=True),
+        {
+            "delta": ((1, 1, 3, 3), (1, 1, 3, 3), (1, 3, 1, 3), (1, 3, 3, 3)),
+            "finals": [0, 2, 3],
+            "initial": 0,
+        },
+    ),
+    "renamed-dfa": (
+        "two-letter renaming of the 2-state monster",
+        _reference_renamed,
+        {
+            "labels": ("a", "b"),
+            "delta": ((0, 1), (1, 1)),
+            "finals": [1],
+            "initial": 0,
+        },
+    ),
+    "star-renamed": (
+        "star of the two-letter renaming, all four subsets",
+        lambda: star_modifier(_reference_renamed(), full=True),
+        {
+            "delta": ((1, 3), (1, 3), (3, 3), (3, 3)),
+            "finals": [0, 2, 3],
+            "initial": 0,
+        },
+    ),
 }
-
-
-def _build_reference(name: str) -> Dfa:
-    if name == "example-monster":
-        return _reference_monster()
-    if name == "star-monster":
-        return star_modifier(_reference_monster(), full=True)
-    if name == "renamed-dfa":
-        return _reference_renamed()
-    if name == "star-renamed":
-        return star_modifier(_reference_renamed(), full=True)
-    raise ValueError(f"unknown reference construction {name!r}")
 
 
 def figure_reports() -> list[ExperimentReport]:
     """Replay the bundled reference constructions and check every transition."""
     out = []
-    for name, description in REFERENCE_CHECKS:
+    for name, (description, build, expected) in REFERENCES.items():
         t0 = time.perf_counter()
-        built = _build_reference(name)
-        expected = _EXPECTED_TABLES[name]
+        built = build()
         problems = []
         delta = tuple(map(tuple, built.delta.tolist()))
         if delta != expected["delta"]:
@@ -341,14 +340,7 @@ def figure_reports() -> list[ExperimentReport]:
     return out
 
 
-EXPORT_WHATS = (
-    "example-monster",
-    "star-monster",
-    "renamed-dfa",
-    "star-renamed",
-    "witness-pair",
-    "alpha-table",
-)
+EXPORT_WHATS = (*REFERENCES, "witness-pair", "alpha-table")
 EXPORT_FORMATS = ("dot", "json", "csv")
 
 
@@ -393,9 +385,9 @@ def export_artifact(
             json.dump(payload, handle, indent=2)
             handle.write("\n")
         return f"wrote the ({n1},{n2}) witness pair to {out}"
-    built = _build_reference(what)
     if fmt == "csv":
         raise ValueError("automata export as dot or json, not csv")
+    built = REFERENCES[what][1]()
     text = export_dot(built) if fmt == "dot" else export_json(built)
     with open(out, "w") as handle:
         handle.write(text)

@@ -2,19 +2,13 @@
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
 
 from .automata import Dfa
-from .transforms import (
-    LimitExceeded,
-    Transformation,
-    enumerate_all,
-    transformation_count,
-)
+from .transforms import LimitExceeded, Transformation, transformation_count
 
 DEFAULT_LETTER_CAP = 10**6
 
@@ -75,19 +69,12 @@ def monster(spec: MonsterSpec, cap_letters: int = DEFAULT_LETTER_CAP) -> tuple[D
     delta(q, letter) = letter[i](q). Every automaton starts in state 0.
     Letter L is the mixed-radix number of its coordinates' ranks, and a rank
     is the base-n number of its image tuple, so delta[q, L] is digit q of
-    coordinate i's rank.
+    coordinate i's rank. A letter is just its number: the automata carry no
+    labels.
     """
     total = spec.letter_total()
     if total > cap_letters:
         raise LimitExceeded(f"{total} letters exceed the cap of {cap_letters}")
-    renders = [
-        [t.render() for t in enumerate_all(n, limit=cap_letters)]
-        for n in spec.sizes
-    ]
-    if len(spec.sizes) == 1:
-        labels = tuple(renders[0])
-    else:
-        labels = tuple("(" + ",".join(combo) + ")" for combo in itertools.product(*renders))
     ranks = np.unravel_index(
         np.arange(total), [transformation_count(n) for n in spec.sizes]
     )
@@ -98,7 +85,6 @@ def monster(spec: MonsterSpec, cap_letters: int = DEFAULT_LETTER_CAP) -> tuple[D
             0,
             spec.finals[coord],
             np.stack(np.unravel_index(ranks[coord], (n,) * n)),
-            labels,
         )
         for coord, n in enumerate(spec.sizes)
     )

@@ -6,7 +6,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable
 
-DEFAULT_ENUM_LIMIT = 10**6
+ENUM_LIMIT = 10**6
 
 
 class LimitExceeded(RuntimeError):
@@ -76,10 +76,10 @@ def transformation_count(n: int) -> int:
     return n**n
 
 
-def enumerate_all(n: int, limit: int = DEFAULT_ENUM_LIMIT) -> list[Transformation]:
+def enumerate_all(n: int) -> list[Transformation]:
     """All n^n transformations of range(n), in lexicographic image order."""
-    if transformation_count(n) > limit:
-        raise LimitExceeded(f"{n}^{n} transformations exceed the cap of {limit}")
+    if transformation_count(n) > ENUM_LIMIT:
+        raise LimitExceeded(f"{n}^{n} transformations exceed the cap of {ENUM_LIMIT}")
     return [
         Transformation(n, images)
         for images in itertools.product(range(n), repeat=n)

@@ -471,10 +471,6 @@ def count_constrained_exhaustive(z) -> int:
 def monster_reference(spec: MonsterSpec) -> tuple[Dfa, ...]:
     """monster()'s automata, built letter by letter from tuples of transformations."""
     letters = list(itertools.product(*(enumerate_all(n) for n in spec.sizes)))
-    if len(spec.sizes) == 1:
-        labels = tuple(combo[0].render() for combo in letters)
-    else:
-        labels = tuple("(" + ",".join(t.render() for t in combo) + ")" for combo in letters)
     return tuple(
         Dfa(
             len(letters),
@@ -482,7 +478,6 @@ def monster_reference(spec: MonsterSpec) -> tuple[Dfa, ...]:
             0,
             spec.finals[coord],
             tuple(tuple(combo[coord](q) for combo in letters) for q in range(n)),
-            labels,
         )
         for coord, n in enumerate(spec.sizes)
     )

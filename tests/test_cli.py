@@ -120,6 +120,19 @@ def test_export_dot(tmp_path, capsys):
     assert "__init -> q0;" in text
 
 
+@pytest.mark.parametrize("fmt", ["dot", "json"])
+@pytest.mark.parametrize(
+    "what", ["example-monster", "star-monster", "renamed-dfa", "star-renamed"]
+)
+def test_reference_exports_match_their_frozen_text(tmp_path, capsys, what, fmt):
+    # tests/references holds each figure as the CLI wrote it, letter labels included
+    path = tmp_path / f"{what}.{fmt}"
+    assert main(["export", "--what", what, "--format", fmt, "--out", str(path)]) == 0
+    capsys.readouterr()
+    expected = Path(__file__).resolve().parent / "references" / f"{what}.{fmt}"
+    assert path.read_text() == expected.read_text()
+
+
 def test_export_rejects_bad_combinations(tmp_path, capsys):
     path = tmp_path / "bad.csv"
     code = main(
