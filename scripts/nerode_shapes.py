@@ -19,9 +19,9 @@ refuses the quotient, the key columns print `-` and `minimize` runs on the
 whole table, as `measure_stx` then does.
 
 The shapes: the witness at (5,4), the 532,480-state table of the
-witness-deep benchmark, at (4,4) and at (2,8), past 7 columns; the (3,3)
-monster of two final pairs, 729 letters each, as in the sweep-wide
-benchmark; and the full (4,3) monster over 6,912 letters.
+witness-deep benchmark, at (4,4) and at (2,8), a grid eight columns
+wide; the (3,3) monster of two final pairs, 729 letters each, as in the
+sweep-wide benchmark; and the full (4,3) monster over 6,912 letters.
 """
 
 from __future__ import annotations

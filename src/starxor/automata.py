@@ -19,9 +19,9 @@ class Dfa:
     integer array-like of that shape is accepted; an int32 ndarray is used
     without a copy, so do not write to it afterwards. finals, given as any
     iterable of ints, is held as a read-only sorted int32 array of distinct
-    states. letter_labels, when present, is a sequence of strings that name
-    the letters for rendering and carry no semantics. Equality is by value,
-    finals and table included.
+    states. A letter is just its index: names for printing are passed to
+    export_dot and export_json. Equality is by value, finals and table
+    included.
     """
 
     letter_count: int
@@ -29,16 +29,8 @@ class Dfa:
     initial: int
     finals: np.ndarray
     delta: np.ndarray
-    letter_labels: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
-        if self.letter_labels is not None:
-            labels = self.letter_labels
-            if isinstance(labels, str) or not isinstance(labels, Sequence) or not all(
-                map(isinstance, labels, itertools.repeat(str))
-            ):
-                raise ValueError("letter_labels must be a sequence of strings")
-            object.__setattr__(self, "letter_labels", tuple(labels))
         for name in ("letter_count", "state_count"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
@@ -87,11 +79,9 @@ class Dfa:
         delta = raw.astype(np.int32, copy=False).view()
         delta.flags.writeable = False
         object.__setattr__(self, "delta", delta)
-        if self.letter_labels is not None and len(self.letter_labels) != self.letter_count:
-            raise ValueError("letter_labels length must match letter_count")
 
     def _key(self) -> tuple:
-        return (self.letter_count, self.state_count, self.initial, self.letter_labels)
+        return (self.letter_count, self.state_count, self.initial)
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -170,7 +160,7 @@ def accessible_part(a: Dfa) -> Dfa:
         count += len(fresh)
     order = order[:count]
     finals = new_id[a.finals]
-    return Dfa(a.letter_count, count, 0, finals[finals >= 0], new_id[a.delta[order]], a.letter_labels)
+    return Dfa(a.letter_count, count, 0, finals[finals >= 0], new_id[a.delta[order]])
 
 
 def unique_first(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -376,7 +366,6 @@ def _class_quotient(a: Dfa, class_of: np.ndarray, reps: np.ndarray) -> Dfa:
         class_of[a.initial],
         class_of[a.finals],
         class_of[a.delta[reps]],
-        a.letter_labels,
     )
 
 
@@ -405,8 +394,7 @@ def is_equivalent(a: Dfa, b: Dfa) -> bool:
 
     minimize numbers the classes in breadth-first order from the initial
     state, letters in index order, so two DFAs accept the same language
-    exactly when their minimized tables and finals are equal. Labels are
-    ignored.
+    exactly when their minimized tables and finals are equal.
     """
     if a.letter_count != b.letter_count:
         raise ValueError("language comparison needs a common alphabet")
@@ -418,11 +406,7 @@ def is_equivalent(a: Dfa, b: Dfa) -> bool:
     )
 
 
-def preimage_by_renaming(
-    a: Dfa,
-    phi: Sequence[int],
-    letter_labels: Sequence[str] | None = None,
-) -> Dfa:
+def preimage_by_renaming(a: Dfa, phi: Sequence[int]) -> Dfa:
     """DFA for the preimage of L(a) under a letter renaming.
 
     phi[j] is the a-letter that new letter j renames to. States, initial and
@@ -435,17 +419,29 @@ def preimage_by_renaming(
     if any(not 0 <= p < a.letter_count for p in phi):
         raise ValueError("renaming targets a letter out of range")
     columns = np.asarray(phi, dtype=np.intp)
-    return Dfa(len(phi), a.state_count, a.initial, a.finals, a.delta[:, columns], letter_labels)
+    return Dfa(len(phi), a.state_count, a.initial, a.finals, a.delta[:, columns])
 
 
-def _letter_name(a: Dfa, j: int) -> str:
-    if a.letter_labels is not None:
-        return a.letter_labels[j]
-    return str(j)
+def _check_labels(labels: Sequence[str], letter_count: int) -> tuple[str, ...]:
+    """labels as a tuple of one name per letter; ValueError otherwise."""
+    if isinstance(labels, str) or not isinstance(labels, Sequence) or not all(
+        map(isinstance, labels, itertools.repeat(str))
+    ):
+        raise ValueError("letter_labels must be a sequence of strings")
+    if len(labels) != letter_count:
+        raise ValueError("letter_labels length must match letter_count")
+    return tuple(labels)
 
 
-def export_dot(a: Dfa) -> str:
-    """Graphviz rendering; parallel edges are merged with comma-joined labels."""
+def export_dot(a: Dfa, labels: Sequence[str] | None = None) -> str:
+    """Graphviz rendering; parallel edges are merged with comma-joined labels.
+
+    labels names the letters, one string each; without it a letter is named
+    by its index.
+    """
+    if labels is None:
+        labels = [str(j) for j in range(a.letter_count)]
+    names = _check_labels(labels, a.letter_count)
     lines = ["digraph dfa {", "  rankdir=LR;", "  __init [shape=point];"]
     finals = set(a.finals.tolist())
     for q in range(a.state_count):
@@ -457,15 +453,15 @@ def export_dot(a: Dfa) -> str:
         for j, t in enumerate(row):
             targets.setdefault(t, []).append(j)
         for t in sorted(targets):
-            label = ",".join(_letter_name(a, j) for j in targets[t])
+            label = ",".join(names[j] for j in targets[t])
             label = label.replace("\\", "\\\\").replace('"', '\\"')
             lines.append(f'  q{q} -> q{t} [label="{label}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 
 
-def export_json(a: Dfa) -> str:
-    """Stable JSON form; letter_labels is omitted when absent."""
+def export_json(a: Dfa, labels: Sequence[str] | None = None) -> str:
+    """Stable JSON form; the letter names, if given, go in letter_labels."""
     obj: dict = {
         "letter_count": a.letter_count,
         "state_count": a.state_count,
@@ -473,24 +469,22 @@ def export_json(a: Dfa) -> str:
         "finals": a.finals.tolist(),
         "delta": a.delta.tolist(),
     }
-    if a.letter_labels is not None:
-        obj["letter_labels"] = list(a.letter_labels)
+    if labels is not None:
+        obj["letter_labels"] = list(_check_labels(labels, a.letter_count))
     return json.dumps(obj, indent=2) + "\n"
 
 
-def import_json(text: str) -> Dfa:
-    """Inverse of export_json. Malformed JSON raises with position information."""
+def import_json(text: str) -> tuple[Dfa, tuple[str, ...] | None]:
+    """Inverse of export_json: the DFA and its letter names, None when absent.
+
+    Malformed JSON raises with position information.
+    """
     obj = json.loads(text)
     if not isinstance(obj, dict):
         raise ValueError("expected a JSON object")
     for field in ("letter_count", "state_count", "initial", "finals", "delta"):
         if field not in obj:
             raise ValueError(f"missing field {field!r}")
-    return Dfa(
-        obj["letter_count"],
-        obj["state_count"],
-        obj["initial"],
-        obj["finals"],
-        obj["delta"],
-        obj.get("letter_labels"),
-    )
+    a = Dfa(obj["letter_count"], obj["state_count"], obj["initial"], obj["finals"], obj["delta"])
+    labels = obj.get("letter_labels")
+    return a, None if labels is None else _check_labels(labels, a.letter_count)

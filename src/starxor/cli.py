@@ -150,7 +150,10 @@ def _check_usage(args: argparse.Namespace) -> None:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    """Run one subcommand; a usage error prints one line to stderr and returns 2."""
+    """Run one subcommand.
+
+    A usage error or a failed write prints one line to stderr and returns 2.
+    """
     args = _build_parser().parse_args(argv)
     handler = {
         "sc": _cmd_sc,
@@ -161,7 +164,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         _check_usage(args)
         return handler(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"{args.subcommand} error: {exc}", file=sys.stderr)
         return 2
 

@@ -20,8 +20,7 @@ from .tableaux import (
     final_zone,
     predicted_complexity,
 )
-from .transforms import enumerate_all
-from .witness import verify_witness, witness_pair
+from .witness import sigma_prime, verify_witness, witness_pair
 
 SC_METHODS = ("formula", "full-monster", "witness", "all")
 
@@ -203,33 +202,26 @@ def sweep_reports(
         if (row["F1"], row["F2"]) == target
     )
     done = [row["measured"] for row in rows if row["measured"] is not None]
-    if at_target is None or len(done) < len(rows):
-        summary = ExperimentReport(
-            command="sweep-finals",
-            parameters={"n1": n1, "n2": n2},
-            measured=None,
-            predicted=predicted_complexity(n1, n2),
-            verdict="skipped",
-            wall_time_ms=elapsed_ms(t0),
-            note=f"{len(rows) - len(done)} of {len(rows)} pairs hit a cap",
+    if len(done) < len(rows):
+        measured, outcome = None, "skipped"
+        note = f"{len(rows) - len(done)} of {len(rows)} pairs hit a cap"
+    else:
+        best = max(done)
+        measured = {"max": best, "at_target": at_target}
+        outcome = "pass" if at_target == best else "fail"
+        note = "maximum attained at " + ", ".join(
+            f"({format_final_set(row['F1'])},{format_final_set(row['F2'])})"
+            for row in rows
+            if row["measured"] == best
         )
-        return rows, summary
-    best = max(done)
-    argmax = [
-        (row["F1"], row["F2"])
-        for row in rows
-        if row["measured"] == best
-    ]
     summary = ExperimentReport(
         command="sweep-finals",
         parameters={"n1": n1, "n2": n2},
-        measured={"max": best, "at_target": at_target},
+        measured=measured,
         predicted=predicted_complexity(n1, n2),
-        verdict="pass" if at_target == best else "fail",
+        verdict=outcome,
         wall_time_ms=elapsed_ms(t0),
-        note="maximum attained at " + ", ".join(
-            f"({format_final_set(f1)},{format_final_set(f2)})" for f1, f2 in argmax
-        ),
+        note=note,
     )
     return rows, summary
 
@@ -255,22 +247,17 @@ def write_sweep_csv(rows: Iterable[dict[str, Any]], path: str) -> None:
             ])
 
 
-def _reference_monster() -> Dfa:
-    # the one monster whose letters any output names, so it carries their labels
-    return replace(monster1(2, {1}), letter_labels=tuple(t.render() for t in enumerate_all(2)))
-
-
 def _reference_renamed() -> Dfa:
     # two letters: a renames to the identity [01], b to the constant [11]
-    return preimage_by_renaming(_reference_monster(), (1, 3), ("a", "b"))
+    return preimage_by_renaming(monster1(2, {1}), (1, 3))
 
 
-# name: (description, build, expected table); subset states of the stars by
-# mask: 0 empty, 1 {0}, 2 {1}, 3 {0,1}
+# name: (description, build, expected table and the letter names its exports
+# print); subset states of the stars by mask: 0 empty, 1 {0}, 2 {1}, 3 {0,1}
 REFERENCES: dict[str, tuple[str, Callable[[], Dfa], dict[str, Any]]] = {
     "example-monster": (
         "2-state monster, finals {1}",
-        _reference_monster,
+        lambda: monster1(2, {1}),
         {
             "labels": ("[00]", "[01]", "[10]", "[11]"),
             "delta": ((0, 0, 1, 1), (0, 1, 0, 1)),
@@ -280,8 +267,9 @@ REFERENCES: dict[str, tuple[str, Callable[[], Dfa], dict[str, Any]]] = {
     ),
     "star-monster": (
         "star of the 2-state monster, all four subsets",
-        lambda: star_modifier(_reference_monster(), full=True),
+        lambda: star_modifier(monster1(2, {1}), full=True),
         {
+            "labels": ("[00]", "[01]", "[10]", "[11]"),
             "delta": ((1, 1, 3, 3), (1, 1, 3, 3), (1, 3, 1, 3), (1, 3, 3, 3)),
             "finals": [0, 2, 3],
             "initial": 0,
@@ -301,6 +289,7 @@ REFERENCES: dict[str, tuple[str, Callable[[], Dfa], dict[str, Any]]] = {
         "star of the two-letter renaming, all four subsets",
         lambda: star_modifier(_reference_renamed(), full=True),
         {
+            "labels": ("a", "b"),
             "delta": ((1, 3), (1, 3), (3, 3), (3, 3)),
             "finals": [0, 2, 3],
             "initial": 0,
@@ -324,8 +313,6 @@ def figure_reports() -> list[ExperimentReport]:
             problems.append(f"finals differ: {finals} vs {expected['finals']}")
         if built.initial != expected["initial"]:
             problems.append(f"initial differs: {built.initial} vs {expected['initial']}")
-        if "labels" in expected and built.letter_labels != expected["labels"]:
-            problems.append(f"labels differ: {built.letter_labels} vs {expected['labels']}")
         out.append(
             ExperimentReport(
                 command="verify-figures",
@@ -377,9 +364,10 @@ def export_artifact(
         if n1 is None or n2 is None:
             raise ValueError("the witness pair needs --n1 and --n2")
         first, second = witness_pair(n1, n2)
+        labels = [letter.render() for letter in sigma_prime(n1, n2)]
         payload = {
-            "first": json.loads(export_json(first)),
-            "second": json.loads(export_json(second)),
+            "first": json.loads(export_json(first, labels)),
+            "second": json.loads(export_json(second, labels)),
         }
         with open(out, "w") as handle:
             json.dump(payload, handle, indent=2)
@@ -387,8 +375,9 @@ def export_artifact(
         return f"wrote the ({n1},{n2}) witness pair to {out}"
     if fmt == "csv":
         raise ValueError("automata export as dot or json, not csv")
-    built = REFERENCES[what][1]()
-    text = export_dot(built) if fmt == "dot" else export_json(built)
+    _, build, expected = REFERENCES[what]
+    export = export_dot if fmt == "dot" else export_json
+    text = export(build(), expected["labels"])
     with open(out, "w") as handle:
         handle.write(text)
     return f"wrote {what} as {fmt} to {out}"

@@ -227,7 +227,6 @@ def star_modifier(
         0,
         np.flatnonzero((masks == 0) | ((masks & fmask) != 0)),
         table,
-        a.letter_labels,
         state_masks=masks,
     )
 
@@ -246,15 +245,7 @@ def xor_modifier(a: Dfa, b: Dfa) -> Dfa:
     second_final = np.zeros(n2, dtype=bool)
     second_final[b.finals] = True
     zone = first_final[:, None] != second_final[None, :]
-    labels = a.letter_labels if a.letter_labels is not None else b.letter_labels
-    return Dfa(
-        a.letter_count,
-        n1 * n2,
-        a.initial * n2 + b.initial,
-        np.flatnonzero(zone),
-        delta,
-        labels,
-    )
+    return Dfa(a.letter_count, n1 * n2, a.initial * n2 + b.initial, np.flatnonzero(zone), delta)
 
 
 def stx(

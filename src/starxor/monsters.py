@@ -69,8 +69,7 @@ def monster(spec: MonsterSpec, cap_letters: int = DEFAULT_LETTER_CAP) -> tuple[D
     delta(q, letter) = letter[i](q). Every automaton starts in state 0.
     Letter L is the mixed-radix number of its coordinates' ranks, and a rank
     is the base-n number of its image tuple, so delta[q, L] is digit q of
-    coordinate i's rank. A letter is just its number: the automata carry no
-    labels.
+    coordinate i's rank. A letter is just its number.
     """
     total = spec.letter_total()
     if total > cap_letters:

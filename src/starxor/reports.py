@@ -75,7 +75,8 @@ def measure_stx(
 
     A cap hit while building the operands or the subset automaton (letters,
     subset states, transitions, or the operand-size limit of subset masks)
-    gives (None, the cap's message) instead; otherwise the note is empty.
+    gives (None, the cap's message) instead; otherwise the note is empty,
+    unless the full table had to be minimized, which it then says.
 
     The subset table is minimized through its saturation quotient: its
     states are classed by saturated mask (saturate_masks), the classes are
@@ -92,7 +93,10 @@ def measure_stx(
         return None, str(exc)
     keys = saturate_masks(built.state_masks, first.state_count, second.state_count)
     quotient = quotient_by_keys(built, keys)
-    return minimize(built if quotient is None else quotient).state_count, ""
+    if quotient is None:
+        note = "the saturation classes are not a congruence; minimized the full table"
+        return minimize(built).state_count, note
+    return minimize(quotient).state_count, ""
 
 
 def verdict(measured: int | None, predicted: int, at_most: bool = False) -> str:

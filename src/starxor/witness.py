@@ -46,12 +46,11 @@ def sigma_prime(n1: int, n2: int) -> tuple[PairLetter, ...]:
 def witness_pair(n1: int, n2: int) -> tuple[Dfa, Dfa]:
     """The 17-letter automata: finals {n1-1} on the first, {0} on the second."""
     letters = sigma_prime(n1, n2)
-    labels = tuple(letter.render() for letter in letters)
     first = np.column_stack([letter.first.images for letter in letters])
     second = np.column_stack([letter.second.images for letter in letters])
     return (
-        Dfa(len(letters), n1, 0, frozenset({n1 - 1}), first, labels),
-        Dfa(len(letters), n2, 0, frozenset({0}), second, labels),
+        Dfa(len(letters), n1, 0, frozenset({n1 - 1}), first),
+        Dfa(len(letters), n2, 0, frozenset({0}), second),
     )
 
 

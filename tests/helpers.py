@@ -372,7 +372,7 @@ def accessible_reference(a: Dfa) -> Dfa:
     rows = a.delta.tolist()
     delta = tuple(tuple(new_id[t] for t in rows[q]) for q in order)
     finals = [new_id[q] for q in a.finals.tolist() if q in new_id]
-    return Dfa(a.letter_count, len(order), 0, finals, delta, a.letter_labels)
+    return Dfa(a.letter_count, len(order), 0, finals, delta)
 
 
 def signature_refinement(a: Dfa) -> tuple[int, ...]:

@@ -56,8 +56,6 @@ def test_validation_catches_shape_errors():
         Dfa(2, 2, 0, frozenset(), ((0,), (1,)))
     with pytest.raises(ValueError):
         Dfa(1, 2, 0, frozenset(), ((0,), (2,)))
-    with pytest.raises(ValueError):
-        Dfa(1, 2, 0, frozenset(), ((0,), (1,)), ("a", "b"))
 
 
 @pytest.mark.parametrize(
@@ -117,13 +115,13 @@ def test_delta_out_of_range_is_refused_in_every_dtype(dtype, target):
 
 
 def test_equality_is_by_value():
-    a = Dfa(2, 2, 0, frozenset({1}), ((0, 1), (1, 1)), ("a", "b"))
-    same = Dfa(2, 2, 0, frozenset({1}), np.array([[0, 1], [1, 1]], dtype=np.int64), ("a", "b"))
+    a = Dfa(2, 2, 0, frozenset({1}), ((0, 1), (1, 1)))
+    same = Dfa(2, 2, 0, frozenset({1}), np.array([[0, 1], [1, 1]], dtype=np.int64))
     assert a == same and hash(a) == hash(same)
-    assert a != Dfa(2, 2, 0, frozenset({1}), ((0, 1), (1, 0)), ("a", "b"))
-    assert a != Dfa(2, 2, 0, frozenset({0}), ((0, 1), (1, 1)), ("a", "b"))
-    assert a != Dfa(2, 2, 0, frozenset({1}), ((0, 1), (1, 1)))
-    assert a != Dfa(2, 2, 1, frozenset({1}), ((0, 1), (1, 1)), ("a", "b"))
+    assert a != Dfa(2, 2, 0, frozenset({1}), ((0, 1), (1, 0)))
+    assert a != Dfa(2, 2, 0, frozenset({0}), ((0, 1), (1, 1)))
+    assert a != Dfa(1, 2, 0, frozenset({1}), ((0,), (1,)))
+    assert a != Dfa(2, 2, 1, frozenset({1}), ((0, 1), (1, 1)))
 
 
 def test_accessible_part_drops_the_unreachable():
@@ -604,9 +602,8 @@ def test_is_equivalent_agrees_with_the_product_oracle(pair):
 
 def test_preimage_by_renaming_permutes_columns():
     a = Dfa(3, 2, 0, frozenset({1}), ((0, 1, 0), (1, 0, 1)))
-    b = preimage_by_renaming(a, (2, 0), ("x", "y"))
+    b = preimage_by_renaming(a, (2, 0))
     assert b.delta.tolist() == [[0, 0], [1, 1]]
-    assert b.letter_labels == ("x", "y")
     assert b.finals.tolist() == [1] and b.initial == a.initial
     with pytest.raises(ValueError):
         preimage_by_renaming(a, (3,))
@@ -643,18 +640,21 @@ def test_preimage_membership_translates_letterwise(a, data):
 
 
 def test_export_dot_declares_every_state_once():
-    a = Dfa(2, 2, 0, frozenset({1}), ((0, 1), (1, 1)), ("a", "b"))
-    dot = export_dot(a)
+    a = Dfa(2, 2, 0, frozenset({1}), ((0, 1), (1, 1)))
+    dot = export_dot(a, ("a", "b"))
     assert dot.count("shape=circle") + dot.count("shape=doublecircle") == 2
     assert '__init -> q0' in dot
     assert 'label="a,b"' in dot  # parallel edges merged
+    assert 'label="0,1"' in export_dot(a)  # without names, letters print as indices
 
 
 def test_json_round_trip_is_fieldwise():
-    a = Dfa(2, 3, 1, frozenset({0, 2}), ((0, 1), (2, 2), (1, 0)), ("x", "y"))
-    assert import_json(export_json(a)) == a
+    a = Dfa(2, 3, 1, frozenset({0, 2}), ((0, 1), (2, 2), (1, 0)))
+    assert import_json(export_json(a, ["x", "y"])) == (a, ("x", "y"))
+    assert import_json(export_json(a)) == (a, None)
+    assert "letter_labels" not in export_json(a)
     bare = Dfa(1, 1, 0, frozenset(), ((0,),))
-    assert import_json(export_json(bare)) == bare
+    assert import_json(export_json(bare)) == (bare, None)
 
 
 @pytest.mark.parametrize(
@@ -672,7 +672,7 @@ def test_json_round_trip_is_fieldwise():
 )
 def test_import_json_rejects_non_integer_states(field, value):
     obj = {"letter_count": 1, "state_count": 2, "initial": 0, "finals": [], "delta": [[1], [0]]}
-    assert import_json(json.dumps(obj)).finals.tolist() == []
+    assert import_json(json.dumps(obj))[0].finals.tolist() == []
     obj[field] = value
     with pytest.raises(ValueError):
         import_json(json.dumps(obj))
@@ -681,11 +681,24 @@ def test_import_json_rejects_non_integer_states(field, value):
 @pytest.mark.parametrize("labels", ["ab", ["a", 1], 5, {"a": 0, "b": 1}])
 def test_letter_labels_must_be_a_sequence_of_strings(labels):
     obj = {"letter_count": 2, "state_count": 1, "initial": 0, "finals": [], "delta": [[0, 0]]}
-    assert import_json(json.dumps({**obj, "letter_labels": ["a", "b"]})).letter_labels == ("a", "b")
+    assert import_json(json.dumps({**obj, "letter_labels": ["a", "b"]}))[1] == ("a", "b")
     with pytest.raises(ValueError, match="sequence of strings"):
         import_json(json.dumps({**obj, "letter_labels": labels}))
-    with pytest.raises(ValueError, match="sequence of strings"):
-        Dfa(2, 1, 0, (), ((0, 0),), labels)
+    a = Dfa(2, 1, 0, (), ((0, 0),))
+    for export in (export_dot, export_json):
+        with pytest.raises(ValueError, match="sequence of strings"):
+            export(a, labels)
+
+
+def test_letter_labels_must_name_every_letter():
+    obj = {"letter_count": 2, "state_count": 1, "initial": 0, "finals": [], "delta": [[0, 0]]}
+    a = Dfa(2, 1, 0, (), ((0, 0),))
+    for labels in (["a"], ["a", "b", "c"]):
+        with pytest.raises(ValueError, match="length must match"):
+            import_json(json.dumps({**obj, "letter_labels": labels}))
+        for export in (export_dot, export_json):
+            with pytest.raises(ValueError, match="length must match"):
+                export(a, labels)
 
 
 def test_import_json_rejects_malformed_text_with_position():

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from starxor import import_json
+from starxor import import_json, sigma_prime
 from starxor.cli import main
 
 
@@ -85,11 +85,23 @@ def test_export_witness_pair_round_trips(tmp_path, capsys):
     )
     assert code == 0
     payload = json.loads(path.read_text())
-    first = import_json(json.dumps(payload["first"]))
-    second = import_json(json.dumps(payload["second"]))
+    first, first_labels = import_json(json.dumps(payload["first"]))
+    second, second_labels = import_json(json.dumps(payload["second"]))
     assert first.state_count == 3 and second.state_count == 2
     assert first.letter_count == second.letter_count == 17
+    assert first_labels == second_labels == tuple(letter.render() for letter in sigma_prime(3, 2))
     assert "witness pair" in capsys.readouterr().out
+
+
+def test_witness_pair_export_matches_its_frozen_text(tmp_path, capsys):
+    # tests/references/witness-pair-3-4.json is the export as the CLI wrote it,
+    # letter labels included
+    path = tmp_path / "pair.json"
+    argv = ["--what", "witness-pair", "--format", "json", "--n1", "3", "--n2", "4"]
+    assert main(["export", *argv, "--out", str(path)]) == 0
+    capsys.readouterr()
+    expected = Path(__file__).resolve().parent / "references" / "witness-pair-3-4.json"
+    assert path.read_text() == expected.read_text()
 
 
 def test_export_alpha_table(tmp_path, capsys):
@@ -182,6 +194,23 @@ def test_usage_errors_exit_2_before_any_work(argv, tmp_path, capsys):
     assert len(captured.err.splitlines()) == 1
     assert captured.err.startswith(f"{argv[0]} error: ")
     assert not missing.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sc", "--n1", "2", "--n2", "2", "--method", "formula", "--report", "/dev/full"],
+        ["sweep-finals", "--n1", "2", "--n2", "2", "--csv", "/dev/full"],
+        ["export", "--what", "alpha-table", "--format", "csv", "--out", "/dev/full"],
+    ],
+    ids=["sc-report", "sweep-csv", "export-out"],
+)
+def test_a_failed_write_exits_2_with_one_line(argv, capsys):
+    # /dev/full refuses every write with ENOSPC
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"{argv[0]} error: ")
 
 
 @pytest.mark.parametrize(

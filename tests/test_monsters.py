@@ -23,7 +23,6 @@ from starxor import (
 def test_two_state_monster_table():
     m = monster1(2, {1})
     assert m.letter_count == 4
-    assert m.letter_labels is None
     assert m.delta.tolist() == [[0, 0, 1, 1], [0, 1, 0, 1]]
     assert m.initial == 0
     assert m.finals.tolist() == [1]
@@ -46,7 +45,6 @@ def test_monster2_shares_the_pair_alphabet():
     spec = MonsterSpec.pair(2, 3, {1}, {0})
     m1, m2 = monster2(spec)
     assert m1.letter_count == m2.letter_count == 4 * 27
-    assert m1.letter_labels is None and m2.letter_labels is None
     assert m1.state_count == 2 and m2.state_count == 3
     assert m1.finals.tolist() == [1] and m2.finals.tolist() == [0]
 
@@ -97,7 +95,6 @@ def test_monster_equals_the_letter_by_letter_build(sizes):
     spec = MonsterSpec(sizes, tuple(frozenset({n - 1}) for n in sizes))
     built, reference = monster(spec), helpers.monster_reference(spec)
     assert built == reference
-    assert all(m.letter_labels is None for m in built)
 
 
 def test_letter_index_on_sampled_letters_of_the_4_4_monster():

@@ -88,7 +88,10 @@ def test_a_partition_that_is_not_a_congruence_leaves_the_full_table(monkeypatch)
     monkeypatch.setattr(reports, "quotient_by_keys", spy)
     for keys in bogus:
         monkeypatch.setattr(reports, "saturate_masks", lambda masks, n1, n2, keys=keys: keys)
-        assert measure_stx(lambda: pair, 2**22) == (minimize(s).state_count, "")
+        assert measure_stx(lambda: pair, 2**22) == (
+            minimize(s).state_count,
+            "the saturation classes are not a congruence; minimized the full table",
+        )
     assert refused == [True, True, True]
 
 

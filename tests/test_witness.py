@@ -76,9 +76,7 @@ def test_witness_pair_shape():
     assert (first.initial, second.initial) == (0, 0)
     assert first.finals.tolist() == [2]
     assert second.finals.tolist() == [0]
-    assert first.letter_labels == second.letter_labels
     letters = sigma_prime(3, 4)
-    assert first.letter_labels[7] == letters[7].render()
     for j, letter in enumerate(letters):
         for q in range(3):
             assert first.delta[q][j] == letter.first(q)
