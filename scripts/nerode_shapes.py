@@ -1,32 +1,32 @@
-"""Time the subset BFS and the measurement path after it in-process on the benchmarks' shapes.
+"""Time the measurement path of `reports.measure_stx` in-process on the benchmarks' shapes.
 
     python3 scripts/nerode_shapes.py [--repeat 5] [--src PATH]
 
 Builds each shape's operands --repeat times and prints the fastest build
-in ms with a digest of both operands' `delta` and `finals`. Then it calls
-`stx` on them --repeat times and prints the fastest call in ms with a
-digest of the subset table's `delta` and `state_masks`.
-Then it times the steps `reports.measure_stx` takes after `stx`, each
---repeat times, fastest call in ms: `saturate_masks` on the table's masks,
-with a digest of the saturated keys; `quotient_by_keys`, the class
-numbering and exact congruence check, with the quotient's state count;
+in ms with a digest of both operands' `delta` and `finals`. Then it times
+the steps `measure_stx` takes, each --repeat times, fastest call in ms:
+`saturation_premises_hold` on the operands' xor product, the exact check
+of the saturation lemma's premises, with its verdict; the direct build of
+the saturation quotient, `stx(..., normalize=saturate_masks)`, with a
+digest of its `delta` and `state_masks` and its state and letter counts;
 and `minimize` of that quotient, with its state count and a digest of the
-minimal DFA's `delta` and finals. Equal digests mean equal operands, tables,
-keys and minimal DFAs, so two source trees can be compared kernel for kernel:
---src imports `starxor` from another tree's `src` directory (default:
-this one's). Where a tree's `saturate_masks` returns None or its check
-refuses the quotient, the key columns print `-` and `minimize` runs on the
-whole table, as `measure_stx` then does.
+minimal DFA's `delta` and finals. Equal digests mean equal operands,
+quotient tables and minimal DFAs, so two source trees can be compared
+kernel for kernel: --src imports `starxor` from another tree's `src`
+directory (default: this one's). Where a tree has no premise check, or its
+check refuses, the check columns print `-` or `no` and the build is the
+full subset table, which `minimize` then runs on, as `measure_stx` does.
 
-The shapes: the witness at (5,4), the 532,480-state table of the
-witness-deep benchmark, at (4,4) and at (2,8), a grid eight columns
-wide; the (3,3) monster of two final pairs, 729 letters each, as in the
-sweep-wide benchmark; and the full (4,3) monster over 6,912 letters.
+The shapes: the witness at (5,4), the witness-deep benchmark's operands,
+at (4,4) and at (2,8), a grid eight columns wide; the (3,3) monster of two
+final pairs, 729 letters each, as in the sweep-wide benchmark; and the
+full (4,3) monster over 6,912 letters.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import sys
 import time
@@ -43,10 +43,10 @@ def main(argv: list[str] | None = None) -> int:
     if args.repeat < 1:
         parser.error("--repeat must be at least 1")
     sys.path.insert(0, str(args.src))
-    from starxor import MonsterSpec, minimize, monster2, stx, witness_pair
-    from starxor.automata import quotient_by_keys
+    from starxor import MonsterSpec, minimize, modifiers, monster2, stx, witness_pair, xor_modifier
     from starxor.tableaux import saturate_masks
 
+    check_premises = getattr(modifiers, "saturation_premises_hold", None)
     shapes = [
         ("witness (5,4)", lambda: witness_pair(5, 4)),
         ("witness (4,4)", lambda: witness_pair(4, 4)),
@@ -70,34 +70,37 @@ def main(argv: list[str] | None = None) -> int:
         return hashlib.sha256(data).hexdigest()[:12]
 
     print(
-        "| shape | operands ms | operands sha256 | stx ms | stx sha256 | states | letters "
-        "| saturate ms | keys sha256 | quotient ms | quotient states | minimize ms | classes "
-        "| minimal sha256 |"
+        "| shape | operands ms | operands sha256 | check ms | premises | quotient ms "
+        "| quotient sha256 | states | letters | minimize ms | classes | minimal sha256 |"
     )
-    print("|---|---|---|---|---|---|---|---|---|---|---|---|---|---|")
+    print("|---|---|---|---|---|---|---|---|---|---|---|---|")
     for name, operands in shapes:
         (first, second), operands_best = fastest(operands)
-        subsets, stx_best = fastest(lambda: stx(first, second))
         n1, n2 = first.state_count, second.state_count
-        keys, saturate_best = fastest(lambda: saturate_masks(subsets.state_masks, n1, n2))
-        quotient, quotient_best = None, None
-        if keys is not None:
-            quotient, quotient_best = fastest(lambda: quotient_by_keys(subsets, keys))
-        table = subsets if quotient is None else quotient
-        minimal, minimize_best = fastest(lambda: minimize(table))
+        holds, check_best = False, None
+        if check_premises is not None:
+            holds, check_best = fastest(
+                lambda: check_premises(xor_modifier(first, second), n1, n2)
+            )
+        # a tree without the check has no normalize argument either
+        build = (
+            functools.partial(stx, normalize=functools.partial(saturate_masks, n1=n1, n2=n2))
+            if holds else stx
+        )
+        built, build_best = fastest(lambda: build(first, second))
+        minimal, minimize_best = fastest(lambda: minimize(built))
         print(
             f"| {name} | {operands_best * 1e3:.2f} "
             f"| {digest(first.delta, first.finals, second.delta, second.finals)} "
-            f"| {stx_best * 1e3:.1f} | {digest(subsets.delta, subsets.state_masks)} "
-            f"| {subsets.state_count:,} | {subsets.letter_count:,} "
-            f"| {saturate_best * 1e3:.1f} | {'-' if keys is None else digest(keys)} "
-            f"| {'-' if quotient_best is None else f'{quotient_best * 1e3:.1f}'} "
-            f"| {'-' if quotient is None else f'{quotient.state_count:,}'} "
+            f"| {'-' if check_best is None else f'{check_best * 1e3:.1f}'} "
+            f"| {'-' if check_best is None else 'yes' if holds else 'no'} "
+            f"| {build_best * 1e3:.1f} | {digest(built.delta, built.state_masks)} "
+            f"| {built.state_count:,} | {built.letter_count:,} "
             f"| {minimize_best * 1e3:.1f} | {minimal.state_count:,} "
             f"| {digest(minimal.delta, minimal.finals)} |",
             flush=True,
         )
-        del subsets, keys, quotient, table, minimal
+        del built, minimal
     return 0
 
 

@@ -369,26 +369,6 @@ def _class_quotient(a: Dfa, class_of: np.ndarray, reps: np.ndarray) -> Dfa:
     )
 
 
-def quotient_by_keys(a: Dfa, keys: np.ndarray) -> Dfa | None:
-    """The quotient of a that merges the states with equal keys, if it is sound.
-
-    keys[q] is an integer label of state q; the classes are numbered by one
-    unstable argsort (unique_first). The partition into equal keys is
-    checked exactly, as nerode_partition checks each round (_is_stable):
-    every class is all final or all nonfinal, and every state has the
-    successor classes of its class's representative. A partition that
-    passes is a congruence that respects finality, so the quotient accepts
-    L(a) and minimize(quotient) equals minimize(a), table for table. One
-    that fails gives None.
-    """
-    _, reps, class_of = unique_first(np.asarray(keys))
-    final = np.zeros(a.state_count, dtype=bool)
-    final[a.finals] = True
-    if not _is_stable(a, final, class_of, reps):
-        return None
-    return _class_quotient(a, class_of, reps)
-
-
 def is_equivalent(a: Dfa, b: Dfa) -> bool:
     """Language equality over a shared alphabet: equal canonical minimal DFAs.
 

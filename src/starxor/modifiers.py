@@ -9,10 +9,12 @@ renamings by design.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
 from .automata import Dfa, block_rows, number_first, unique_first
+from .tableaux import saturate_masks
 from .transforms import LimitExceeded
 
 DEFAULT_STATE_CAP = 2**22
@@ -82,10 +84,49 @@ def _image_tables(delta: np.ndarray, dtype: type) -> tuple[np.ndarray, int]:
     return tables, width
 
 
+def _mask_dtype(n: int) -> type:
+    """int32 where the dense mask map fits (2^n <= TABLE_ENTRIES, so every
+    mask of n bits is below 2^31), int64 beyond it."""
+    return np.int32 if 1 << n <= TABLE_ENTRIES else np.int64
+
+
+def _star_images(a: Dfa, dtype: type) -> tuple[Callable[..., np.ndarray], int]:
+    """The star's step on subset masks of a's states, and the mask of a's finals.
+
+    images(masks, letters=slice(None)) is the (len(masks), letters) array of
+    the successor masks under the letters in the slice: the empty set moves
+    as {initial} does, any other E to f(E), and the initial state joins an
+    image that meets a's finals. Masks and images are held as dtype.
+    LimitExceeded is raised if a has more than MAX_OPERAND_STATES states.
+    """
+    n = a.state_count
+    if n > MAX_OPERAND_STATES:
+        raise LimitExceeded(
+            f"{n} operand states exceed the limit of {MAX_OPERAND_STATES} for int64 subset masks"
+        )
+    fmask = dtype(sum(1 << q for q in a.finals.tolist()))
+    ibit = dtype(1 << a.initial)
+    tables, width = _image_tables(a.delta, dtype)
+    # an image meets the finals exactly when one of its chunk images does, so
+    # the initial state joins each chunk image that meets them
+    tables[(tables & fmask) != 0] |= ibit
+    chunk = dtype((1 << width) - 1)
+
+    def images(masks: np.ndarray, letters: slice = slice(None)) -> np.ndarray:
+        masks = np.where(masks == 0, ibit, masks)
+        out = np.take(tables[0][:, letters], masks & chunk, axis=0)
+        for c in range(1, len(tables)):
+            out |= np.take(tables[c][:, letters], (masks >> (width * c)) & chunk, axis=0)
+        return out
+
+    return images, fmask
+
+
 def star_modifier(
     a: Dfa,
     full: bool = False,
     cap_states: int = DEFAULT_STATE_CAP,
+    normalize: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> SubsetDfa:
     """Subset construction recognizing L(a)*.
 
@@ -98,6 +139,14 @@ def star_modifier(
     order; full=True seeds the search with all 2^n subsets, state index equal
     to bitmask.
 
+    normalize, when given, maps each 1-D block of successor masks to the
+    masks that stand for them, before they are numbered, so the search runs
+    over the empty set and normalized masks only. The result accepts L(a)*
+    only where normalize is compatible with the step: measure_stx passes
+    saturation, and uses the result only once saturation_premises_hold
+    shows that it is. With normalize=None the tables are exactly those
+    without it.
+
     The frontier is expanded a block of rows at a time, every letter at once,
     into one table. When 2^n <= TABLE_ENTRIES, masks are held as int32 and
     map to state ids through a dense int32 array over all 2^n masks; else
@@ -108,10 +157,9 @@ def star_modifier(
     MAX_OPERAND_STATES states.
     """
     n, letters = a.state_count, a.letter_count
-    if n > MAX_OPERAND_STATES:
-        raise LimitExceeded(
-            f"{n} operand states exceed the limit of {MAX_OPERAND_STATES} for int64 subset masks"
-        )
+    dtype = _mask_dtype(n)
+    dense = dtype is np.int32
+    images, fmask = _star_images(a, dtype)
 
     def check_caps(count: int) -> None:
         if count > cap_states:
@@ -126,25 +174,6 @@ def star_modifier(
     if full and count > cap_states:
         raise LimitExceeded(f"2^{n} subset states exceed the cap of {cap_states}")
     check_caps(count)
-    # with the dense map every mask is below 2^n <= TABLE_ENTRIES, so masks,
-    # images and their tables fit in int32
-    dense = 1 << n <= TABLE_ENTRIES
-    dtype = np.int32 if dense else np.int64
-    fmask = dtype(sum(1 << q for q in a.finals.tolist()))
-    ibit = dtype(1 << a.initial)
-    tables, width = _image_tables(a.delta, dtype)
-    # an image meets the finals exactly when one of its chunk images does, so
-    # the initial state joins each chunk image that meets them
-    tables[(tables & fmask) != 0] |= ibit
-    chunk = dtype((1 << width) - 1)
-
-    def images(masks: np.ndarray) -> np.ndarray:
-        # the empty set steps as {initial} does
-        masks = np.where(masks == 0, ibit, masks)
-        out = np.take(tables[0], masks & chunk, axis=0)
-        for c in range(1, len(tables)):
-            out |= np.take(tables[c], (masks >> (width * c)) & chunk, axis=0)
-        return out
 
     step = block_rows(letters)
     # table and masks each start at one block's worth, so that a small
@@ -211,9 +240,10 @@ def star_modifier(
     while done < count:
         rows = min(step, count - done)
         table = room(table, done, done + rows)
-        fresh = number(
-            images(masks[done:done + rows]).reshape(-1), count, table[done:done + rows].reshape(-1)
-        )
+        img = images(masks[done:done + rows]).reshape(-1)
+        if normalize is not None:
+            img = normalize(img)
+        fresh = number(img, count, table[done:done + rows].reshape(-1))
         check_caps(count + len(fresh))
         masks = room(masks, count, count + len(fresh))
         masks[count:count + len(fresh)] = fresh
@@ -253,6 +283,7 @@ def stx(
     b: Dfa,
     full: bool = False,
     cap_states: int = DEFAULT_STATE_CAP,
+    normalize: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> SubsetDfa:
     """Star of the symmetric difference: star_modifier(xor_modifier(a, b)).
 
@@ -260,7 +291,59 @@ def stx(
     (x, y)); the zone of product finals is the pairs where exactly one side is
     final, and the seed pair (initial, initial) plays the star's initial
     state. The n1*n2-state product is built in full first, which costs little
-    next to the subset construction; full and the caps go to star_modifier.
+    next to the subset construction; full, the caps and normalize go to
+    star_modifier.
     """
-    return star_modifier(xor_modifier(a, b), full=full, cap_states=cap_states)
+    return star_modifier(
+        xor_modifier(a, b), full=full, cap_states=cap_states, normalize=normalize
+    )
 
+
+def saturation_premises_hold(product: Dfa, n1: int, n2: int) -> bool:
+    """Does saturation commute with the star's step on product, exactly?
+
+    product is an automaton on the n1 x n2 grid, state x*n2+y the cell
+    (x, y), such as xor_modifier(a, b); step is star_modifier's step on it,
+    the seed rule included, and sat is saturate_masks. For every right
+    triangle t = {(x, y), (x, y'), (x', y)}, x != x' and y != y', with
+    fourth corner c = (x', y'), it checks that
+      (P1) on every letter, step({c}) lies in sat(step(t)), and
+      (P2) c is final only if t meets the finals.
+
+    Together they make T -> sat(T) a morphism from star_modifier(product)
+    onto star_modifier(product, normalize=sat), so the two accept the same
+    language. On nonempty sets step preserves unions, and sat(T) is reached
+    from T by adding, one at a time, the fourth corner c of a right triangle
+    t in T. Such a step gives step(T + c) = step(T) + step({c}), inside
+    sat(step(T)) by (P1), since step(t) lies in step(T); so sat(step(T + c))
+    = sat(step(T)), and by (P2) T + c is final exactly when T is. Hence
+    sat(step(sat T)) = sat(step T) and sat(T) is final exactly when T is,
+    for every T, reachable or not.
+
+    The check is exhaustive, a block of letters at a time (block_rows), so
+    that its images never outgrow one frontier block. LimitExceeded is
+    raised as star_modifier raises it for more than MAX_OPERAND_STATES
+    cells.
+    """
+    n = n1 * n2
+    if product.state_count != n:
+        raise ValueError(f"a {n1} x {n2} grid has {n} cells, not {product.state_count}")
+    dtype = _mask_dtype(n)
+    images, fmask = _star_images(product, dtype)
+    rows, cols = np.arange(n1), np.arange(n2)
+    x, x2, y, y2 = (g.reshape(-1) for g in np.meshgrid(rows, rows, cols, cols, indexing="ij"))
+    keep = (x != x2) & (y != y2)
+    x, x2, y, y2 = x[keep], x2[keep], y[keep], y2[keep]
+    bit = np.left_shift(dtype(1), np.arange(n, dtype=dtype))
+    triangles = bit[x * n2 + y] | bit[x * n2 + y2] | bit[x2 * n2 + y]
+    corners = bit[x2 * n2 + y2]
+    # (P2), then (P1) a block of letters at a time
+    if (((corners & fmask) != 0) & ((triangles & fmask) == 0)).any():
+        return False
+    step = block_rows(len(corners))
+    for lo in range(0, product.letter_count, step):
+        letters = slice(lo, lo + step)
+        sat = saturate_masks(images(triangles, letters).reshape(-1), n1, n2)
+        if (images(corners, letters).reshape(-1) & ~sat).any():
+            return False
+    return True

@@ -6,12 +6,13 @@ every size check.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-from .automata import Dfa, minimize, quotient_by_keys
-from .modifiers import stx
+from .automata import Dfa, minimize
+from .modifiers import saturation_premises_hold, stx, xor_modifier
 from .tableaux import predicted_complexity, saturate_masks
 from .transforms import LimitExceeded
 
@@ -78,25 +79,29 @@ def measure_stx(
     gives (None, the cap's message) instead; otherwise the note is empty,
     unless the full table had to be minimized, which it then says.
 
-    The subset table is minimized through its saturation quotient: its
-    states are classed by saturated mask (saturate_masks), the classes are
-    checked exactly to form a congruence that respects finality
-    (quotient_by_keys), and the small quotient is minimized. A partition
-    that passes gives the same minimal DFA, so the size never rests on the
-    saturation lemma, only on the check. When the check fails, the full
-    table is minimized.
+    The size is that of the saturation quotient, built directly: stx runs
+    its breadth-first search over saturated masks only (normalize=
+    saturate_masks), so cap_states bounds the quotient's states. That size
+    is returned only once this run's operands pass the exact check of the
+    saturation lemma's premises (saturation_premises_hold), which makes
+    the quotient accept the same language as the full subset table, so it
+    never rests on the lemma, only on the check. When the check fails, the
+    full table is built and minimized. The check runs after the build, so
+    a run that a cap cuts short never pays for it.
     """
     try:
         first, second = build_pair()
-        built = stx(first, second, cap_states=cap_states)
+        n1, n2 = first.state_count, second.state_count
+        saturate = functools.partial(saturate_masks, n1=n1, n2=n2)
+        built = stx(first, second, cap_states=cap_states, normalize=saturate)
+        sound = saturation_premises_hold(xor_modifier(first, second), n1, n2)
+        if not sound:
+            del built
+            built = stx(first, second, cap_states=cap_states)
     except LimitExceeded as exc:
         return None, str(exc)
-    keys = saturate_masks(built.state_masks, first.state_count, second.state_count)
-    quotient = quotient_by_keys(built, keys)
-    if quotient is None:
-        note = "the saturation classes are not a congruence; minimized the full table"
-        return minimize(built).state_count, note
-    return minimize(quotient).state_count, ""
+    note = "" if sound else "the saturation premises do not hold; minimized the full table"
+    return minimize(built).state_count, note
 
 
 def verdict(measured: int | None, predicted: int, at_most: bool = False) -> str:

@@ -2,9 +2,10 @@
 
 A tableau is a subset of the n1 x n2 grid, held as a row-major int mask
 (cell_bit), as in a SubsetDfa's state_masks. Saturation (saturate_masks)
-is part of the measurement path: measure_stx classes the subset states of
-stx by their saturated masks. The tableau predicates and a pairwise-union
-saturation are test oracles in tests/helpers.py.
+is part of the measurement path: measure_stx has stx search over saturated
+masks only, and saturation_premises_hold checks that this is sound. The
+tableau predicates and a pairwise-union saturation are test oracles in
+tests/helpers.py.
 """
 
 from __future__ import annotations

@@ -7,6 +7,8 @@ import random
 from collections import deque
 from typing import Callable, Iterable, Sequence
 
+import numpy as np
+
 from starxor import (
     DEFAULT_LETTER_CAP,
     DEFAULT_STATE_CAP,
@@ -25,6 +27,7 @@ from starxor import (
     preimage_by_renaming,
     stx,
 )
+from starxor.automata import _class_quotient, _is_stable, unique_first
 from starxor.reports import verdict
 from starxor.transforms import transformation_count
 
@@ -498,6 +501,28 @@ def full_table_size(build_pair: Callable[[], tuple[Dfa, Dfa]], cap_states: int) 
         return minimize(stx(*build_pair(), cap_states=cap_states)).state_count
     except LimitExceeded:
         return None
+
+
+def quotient_by_keys(a: Dfa, keys: np.ndarray) -> Dfa | None:
+    """The quotient of a that merges the states with equal keys, if it is sound.
+
+    keys[q] is an integer label of state q; the classes are numbered by one
+    unstable argsort (unique_first). The partition into equal keys is
+    checked exactly, as nerode_partition checks each round (_is_stable):
+    every class is all final or all nonfinal, and every state has the
+    successor classes of its class's representative. A partition that
+    passes is a congruence that respects finality, so the quotient accepts
+    L(a) and minimize(quotient) equals minimize(a), table for table. One
+    that fails gives None. On a full subset table keyed by saturated masks,
+    it is the whole-table check of the saturation lemma that
+    saturation_premises_hold makes locally.
+    """
+    _, reps, class_of = unique_first(np.asarray(keys))
+    final = np.zeros(a.state_count, dtype=bool)
+    final[a.finals] = True
+    if not _is_stable(a, final, class_of, reps):
+        return None
+    return _class_quotient(a, class_of, reps)
 
 
 def sweep_rows_exhaustive(

@@ -271,10 +271,10 @@ def test_quotient_by_keys_refuses_what_is_not_a_congruence():
     # 0 -> 1 -> 2 -> 2 on one letter, 2 final
     a = Dfa(1, 3, 0, frozenset({2}), ((1,), (2,), (2,)))
     # {0, 1} respects finality, but 0 steps into it and 1 out of it
-    assert automata.quotient_by_keys(a, np.array([0, 0, 1])) is None
+    assert helpers.quotient_by_keys(a, np.array([0, 0, 1])) is None
     # {1, 2} is a congruence class that mixes finality
-    assert automata.quotient_by_keys(a, np.array([0, 1, 1])) is None
-    q = automata.quotient_by_keys(a, np.array([9, 5, 7]))
+    assert helpers.quotient_by_keys(a, np.array([0, 1, 1])) is None
+    q = helpers.quotient_by_keys(a, np.array([9, 5, 7]))
     assert q.state_count == 3
     assert minimize(q) == minimize(a)
 
@@ -297,7 +297,7 @@ def test_quotient_by_keys_accepts_exactly_the_congruences(a, data, scale):
     # negative and wide keys number their classes as small ones do
     n = a.state_count
     keys = data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
-    q = automata.quotient_by_keys(a, np.array(keys, dtype=np.int64) * scale)
+    q = helpers.quotient_by_keys(a, np.array(keys, dtype=np.int64) * scale)
     assert (q is not None) == _is_congruence_reference(a, keys)
     if q is not None:
         assert q.state_count == len(set(keys))
@@ -309,7 +309,7 @@ def test_quotient_by_keys_accepts_exactly_the_congruences(a, data, scale):
 @given(dfas(max_states=8))
 def test_quotient_by_the_nerode_classes_is_accepted(a):
     part = nerode_partition(a)
-    q = automata.quotient_by_keys(a, part.class_of)
+    q = helpers.quotient_by_keys(a, part.class_of)
     assert q.state_count == part.class_count
     assert minimize(q) == minimize(a)
 

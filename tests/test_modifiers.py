@@ -1,5 +1,6 @@
 """Star, xor, and star-of-xor as the star of the xor product."""
 
+import functools
 import itertools
 import random
 import tracemalloc
@@ -20,6 +21,7 @@ from starxor import (
     xor_modifier,
 )
 from starxor import automata, modifiers
+from starxor.tableaux import saturate_masks
 
 
 def test_star_of_the_two_state_monster_full_table():
@@ -272,6 +274,38 @@ def test_dense_and_sorted_maps_give_the_same_tables(monkeypatch, pair, full):
         _assert_no_spare_capacity(s)
     assert [sorted_map for _, sorted_map in runs] == [False, True]
     assert runs[0][0] == runs[1][0] == _reference_tables(product, full)
+
+
+@pytest.mark.parametrize("sorted_map", [False, True], ids=["dense map", "sorted map"])
+def test_normalize_numbers_the_normalized_images(monkeypatch, sorted_map):
+    # a breadth-first search over saturated masks, read off the full table,
+    # whose state index is the mask: same masks, order, rows and finals
+    pairs = [
+        witness_pair(3, 3),
+        witness_pair(4, 3),
+        monster2(MonsterSpec.pair(2, 3, {1}, {0})),
+        monster2(MonsterSpec.pair(3, 3, {0, 1}, {1})),
+    ]
+    for a, b in pairs:
+        n1, n2 = a.state_count, b.state_count
+        whole = stx(a, b, full=True)
+        sat = saturate_masks(whole.state_masks, n1, n2)
+        order, index = [0], {0: 0}
+        for mask in order:
+            for image in sat[whole.delta[mask]].tolist():
+                if image not in index:
+                    index[image] = len(order)
+                    order.append(image)
+        if sorted_map:
+            monkeypatch.setattr(modifiers, "TABLE_ENTRIES", (1 << n1 * n2) - 1)
+        q = stx(a, b, normalize=functools.partial(saturate_masks, n1=n1, n2=n2))
+        assert q.state_masks.tolist() == order
+        assert np.array_equal(q.state_masks[q.delta], sat[whole.delta[q.state_masks]])
+        assert np.array_equal(q.finals, np.flatnonzero(np.isin(q.state_masks, whole.finals)))
+        _assert_no_spare_capacity(q)
+        # normalizing to the same masks changes no byte of the table
+        assert _tables(stx(a, b, normalize=lambda masks: masks)) == _tables(stx(a, b))
+        monkeypatch.undo()
 
 
 def test_dense_and_sorted_maps_agree_where_masks_reach_bit_21(monkeypatch):

@@ -1,113 +1,201 @@
-"""measure_stx minimizes through the saturation quotient, checked per run.
+"""measure_stx builds the saturation quotient directly, after an exact check of its premises.
 
 Each test compares the route against Nerode refinement over the whole subset
 table (helpers.full_table_size or minimize(stx(...))), which shares no step
-with the quotient after stx.
+with the quotient, or the premise check (saturation_premises_hold) against
+the whole-table congruence check (helpers.quotient_by_keys), which is local
+to no triangle.
 """
+
+import functools
 
 import numpy as np
 import pytest
 
 import helpers
 from starxor import (
+    Dfa,
     MonsterSpec,
     minimize,
     monster2,
     predicted_complexity,
+    star_modifier,
     stx,
     witness_pair,
+    xor_modifier,
 )
-from starxor import automata, reports
-from starxor.automata import quotient_by_keys
+from starxor import automata, modifiers, reports
+from starxor.modifiers import saturation_premises_hold
 from starxor.reports import measure_stx
 from starxor.tableaux import saturate_masks
 
 WITNESS_SIZES = [(2, 2), (2, 3), (3, 2), (3, 3), (4, 3), (3, 4), (4, 4), (5, 4), (2, 8)]
+FULL_TABLE_NOTE = "the saturation premises do not hold; minimized the full table"
+# the three zones of the xor product's cells, from the operands' final flags
+ZONES = {"xor": np.not_equal, "union": np.logical_or, "intersection": np.logical_and}
 
 
-def saturation_quotient(pair):
+def direct_quotient(pair):
     first, second = pair
-    s = stx(first, second)
-    keys = saturate_masks(s.state_masks, first.state_count, second.state_count)
-    return s, quotient_by_keys(s, keys)
+    n1, n2 = first.state_count, second.state_count
+    assert saturation_premises_hold(xor_modifier(first, second), n1, n2)
+    return stx(first, second, normalize=functools.partial(saturate_masks, n1=n1, n2=n2))
+
+
+def keyed_quotient(s, n1, n2):
+    # the saturation classes of a whole table, checked to be a congruence
+    return helpers.quotient_by_keys(s, saturate_masks(s.state_masks, n1, n2))
+
+
+def rezoned_product(n1, n2, f1, f2, zone):
+    # the monster's xor product with its finals rewritten to another zone
+    product = xor_modifier(*monster2(MonsterSpec.pair(n1, n2, f1, f2)))
+    first = np.isin(np.arange(n1), f1)
+    second = np.isin(np.arange(n2), f2)
+    cells = np.flatnonzero(zone(first[:, None], second[None, :]))
+    return Dfa(product.letter_count, product.state_count, product.initial, cells, product.delta)
 
 
 @pytest.mark.parametrize("n1, n2", [(2, 2), (2, 3), (3, 2), (3, 3)])
 def test_saturation_is_a_congruence_on_every_tableau(n1, n2):
     # the lemma itself: full=True numbers every mask, reachable or not, and
-    # the monsters hold every letter (f, g)
+    # the monsters hold every letter (f, g); the premise check accepts every
+    # final pair
     for f1 in helpers.final_sets(n1):
         for f2 in helpers.final_sets(n2):
-            s = stx(*monster2(MonsterSpec.pair(n1, n2, f1, f2)), full=True)
-            keys = saturate_masks(s.state_masks, n1, n2)
-            assert quotient_by_keys(s, keys) is not None, (f1, f2)
+            a, b = monster2(MonsterSpec.pair(n1, n2, f1, f2))
+            assert keyed_quotient(stx(a, b, full=True), n1, n2) is not None, (f1, f2)
+            assert saturation_premises_hold(xor_modifier(a, b), n1, n2), (f1, f2)
+
+
+@pytest.mark.parametrize("n1, n2", [(2, 2), (2, 3), (3, 2)])
+def test_the_premise_check_refuses_exactly_where_the_whole_table_check_does(n1, n2):
+    # a premise that fails at triangle t puts t and sat(t) = t + c in one
+    # class with different successor classes or finality, so the local check
+    # and the whole-table one agree on every zone; xor and union always pass
+    seen = {name: set() for name in ZONES}
+    for f1 in helpers.final_sets(n1):
+        for f2 in helpers.final_sets(n2):
+            for name, zone in ZONES.items():
+                product = rezoned_product(n1, n2, f1, f2, zone)
+                holds = saturation_premises_hold(product, n1, n2)
+                whole = keyed_quotient(star_modifier(product, full=True), n1, n2)
+                assert holds == (whole is not None), (f1, f2, name)
+                seen[name].add(holds)
+    assert seen == {"xor": {True}, "union": {True}, "intersection": {False, True}}
+
+
+@pytest.mark.parametrize("n1, n2", [(2, 2), (3, 3), (4, 3)])
+def test_the_check_accepts_the_union_zone_and_refuses_the_intersection(n1, n2):
+    verdicts = {
+        name: saturation_premises_hold(rezoned_product(n1, n2, (n1 - 1,), (0,), zone), n1, n2)
+        for name, zone in ZONES.items()
+    }
+    assert verdicts == {"xor": True, "union": True, "intersection": False}
+
+
+def test_the_check_goes_a_block_of_letters_at_a_time(monkeypatch):
+    # the full (4,3) monster: 72 triangles x 6,912 letters, in blocks of 13
+    # letters (936 images), the last one shorter, give the unblocked
+    # verdicts; the intersection zone fails (P2) before any image is taken
+    sizes = []
+
+    def spy(masks, n1, n2):
+        sizes.append(len(masks))
+        return saturate_masks(masks, n1, n2)
+
+    monkeypatch.setattr(modifiers, "saturate_masks", spy)
+    monkeypatch.setattr(automata, "BLOCK_ENTRIES", 1000)
+    for name, zone in ZONES.items():
+        product = rezoned_product(4, 3, (3,), (0,), zone)
+        assert saturation_premises_hold(product, 4, 3) == (name != "intersection")
+    assert max(sizes) == 72 * 13
+    assert sum(sizes) == 2 * 72 * 6912
+
+
+def test_the_check_needs_a_grid_of_the_product_size():
+    with pytest.raises(ValueError, match="a 2 x 3 grid has 6 cells, not 9"):
+        saturation_premises_hold(xor_modifier(*witness_pair(3, 3)), 2, 3)
 
 
 @pytest.mark.parametrize("n1, n2", WITNESS_SIZES)
 def test_the_witness_quotient_is_a_congruence_with_the_same_minimal_table(n1, n2):
-    s, q = saturation_quotient(witness_pair(n1, n2))
-    assert q is not None
-    # the saturated tableaux are the prediction's count; the start state
-    # merges with the seed singleton only in minimize
-    assert q.state_count == predicted_complexity(n1, n2)
-    assert minimize(q) == minimize(s)
+    pair = witness_pair(n1, n2)
+    s = stx(*pair)
+    keyed = keyed_quotient(s, n1, n2)
+    q = direct_quotient(pair)
+    assert keyed is not None
+    # the direct route reaches exactly the saturated masks of the full table;
+    # they are the prediction's count, and the start state merges with the
+    # seed singleton only in minimize
+    assert set(q.state_masks.tolist()) == set(saturate_masks(s.state_masks, n1, n2).tolist())
+    assert q.state_count == keyed.state_count == predicted_complexity(n1, n2)
+    assert minimize(q) == minimize(keyed) == minimize(s)
 
 
 @pytest.mark.parametrize("n1, n2", [(2, 3), (3, 3)])
 def test_the_monster_quotient_is_a_congruence_at_every_final_pair(n1, n2):
     for f1 in helpers.final_sets(n1):
         for f2 in helpers.final_sets(n2):
-            s, q = saturation_quotient(monster2(MonsterSpec.pair(n1, n2, f1, f2)))
-            assert q is not None, (f1, f2)
-            assert minimize(q) == minimize(s), (f1, f2)
+            pair = monster2(MonsterSpec.pair(n1, n2, f1, f2))
+            s = stx(*pair)
+            assert keyed_quotient(s, n1, n2) is not None, (f1, f2)
+            assert minimize(direct_quotient(pair)) == minimize(s), (f1, f2)
 
 
 def test_the_target_monster_quotient_at_4_3():
-    s, q = saturation_quotient(monster2(MonsterSpec.pair(4, 3, {3}, {0})))
-    assert q is not None
-    m = minimize(q)
+    pair = monster2(MonsterSpec.pair(4, 3, {3}, {0}))
+    s = stx(*pair)
+    assert keyed_quotient(s, 4, 3) is not None
+    m = minimize(direct_quotient(pair))
     assert m == minimize(s)
     assert m.state_count == 212
 
 
 def test_a_partition_that_is_not_a_congruence_leaves_the_full_table(monkeypatch):
+    # the premise check refuses exactly when the saturation classes are not
+    # a congruence; a refusal builds and minimizes the full table, and says so
     pair = monster2(MonsterSpec.pair(3, 3, {2}, {0}))
-    s = stx(*pair)
-    final = np.zeros(s.state_count, dtype=np.int64)
-    final[s.finals] = 1
-    # by finality, then by emptiness: each respects finality, neither is a
-    # congruence; all in one class mixes finality
-    bogus = [final, final + 2 * (s.state_masks == 0), np.zeros(s.state_count, dtype=np.int64)]
-    refused = []
+    checked, built = [], []
 
-    def spy(a, keys):
-        q = quotient_by_keys(a, keys)
-        refused.append(q is None)
-        return q
+    def refuse(product, n1, n2):
+        checked.append(saturation_premises_hold(product, n1, n2))
+        return False
 
-    monkeypatch.setattr(reports, "quotient_by_keys", spy)
-    for keys in bogus:
-        monkeypatch.setattr(reports, "saturate_masks", lambda masks, n1, n2, keys=keys: keys)
-        assert measure_stx(lambda: pair, 2**22) == (
-            minimize(s).state_count,
-            "the saturation classes are not a congruence; minimized the full table",
-        )
-    assert refused == [True, True, True]
+    def spy(*args, **kwargs):
+        s = stx(*args, **kwargs)
+        built.append((kwargs.get("normalize") is None, s.state_count))
+        return s
+
+    monkeypatch.setattr(reports, "saturation_premises_hold", refuse)
+    monkeypatch.setattr(reports, "stx", spy)
+    size = helpers.full_table_size(lambda: pair, 2**22)
+    assert measure_stx(lambda: pair, 2**22) == (size, FULL_TABLE_NOTE)
+    assert checked == [True]
+    # the 67-state quotient is dropped for the 288-state full table
+    assert built == [(False, 67), (True, stx(*pair).state_count)] == [(False, 67), (True, 288)]
 
 
 @pytest.mark.parametrize("n1, n2, size", [(2, 8, 2570), (8, 2, 2570), (2, 9, 7328)])
 def test_wide_and_tall_witnesses_take_the_checked_quotient(monkeypatch, n1, n2, size):
-    calls = []
+    checked, built = [], []
 
-    def spy(a, keys):
-        q = quotient_by_keys(a, keys)
-        calls.append(q is not None)
-        return q
+    def check(product, n1, n2):
+        checked.append(saturation_premises_hold(product, n1, n2))
+        return checked[-1]
 
-    monkeypatch.setattr(reports, "quotient_by_keys", spy)
+    def spy(*args, **kwargs):
+        s = stx(*args, **kwargs)
+        built.append(s.state_count)
+        return s
+
+    monkeypatch.setattr(reports, "saturation_premises_hold", check)
+    monkeypatch.setattr(reports, "stx", spy)
     build = lambda: witness_pair(n1, n2)
     assert measure_stx(build, 2**22) == (size, "")
-    assert calls == [True]
+    # one check, then one search over the saturated masks only
+    assert checked == [True]
+    assert built == [predicted_complexity(n1, n2)]
     assert helpers.full_table_size(build, 2**22) == size == predicted_complexity(n1, n2) - 1
 
 

@@ -119,3 +119,13 @@ def test_verify_witness_respects_the_state_cap():
     assert report.measured is None
     assert report.predicted == 9
     assert report.note
+
+
+def test_the_state_cap_bounds_the_saturation_quotient_not_the_full_table():
+    # witness (4,4): the full subset table holds 33,792 states, the
+    # saturation quotient that measure_stx builds 849
+    assert stx(*witness_pair(4, 4)).state_count == 33792
+    assert verify_witness(4, 4, cap_states=849).measured == 848
+    report = verify_witness(4, 4, cap_states=848)
+    assert (report.verdict, report.measured) == ("skipped", None)
+    assert report.note == "subset states exceed the cap of 848"
