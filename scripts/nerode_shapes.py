@@ -9,13 +9,14 @@ the steps `measure_stx` takes, each --repeat times, fastest call in ms:
 of the saturation lemma's premises, with its verdict; the direct build of
 the saturation quotient, `stx(..., normalize=saturate_masks)`, with a
 digest of its `delta` and `state_masks` and its state and letter counts;
-and `minimize` of that quotient, with its state count and a digest of the
-minimal DFA's `delta` and finals. Equal digests mean equal operands,
-quotient tables and minimal DFAs, so two source trees can be compared
-kernel for kernel: --src imports `starxor` from another tree's `src`
-directory (default: this one's). Where a tree has no premise check, or its
-check refuses, the check columns print `-` or `no` and the build is the
-full subset table, which `minimize` then runs on, as `measure_stx` does.
+and `nerode_partition` of that quotient, whose class count is the size
+`measure_stx` reports, with its rounds, its class count and a digest of
+`class_of`. Equal digests mean equal operands, quotient tables and
+partitions, so two source trees can be compared kernel for kernel: --src
+imports `starxor` from another tree's `src` directory (default: this
+one's). Where a tree has no premise check, or its check refuses, the
+check columns print `-` or `no` and the build is the full subset table,
+which `nerode_partition` then runs on, as `measure_stx` does.
 
 The shapes: the witness at (5,4), the witness-deep benchmark's operands,
 at (4,4) and at (2,8), a grid eight columns wide; the (3,3) monster of two
@@ -43,7 +44,15 @@ def main(argv: list[str] | None = None) -> int:
     if args.repeat < 1:
         parser.error("--repeat must be at least 1")
     sys.path.insert(0, str(args.src))
-    from starxor import MonsterSpec, minimize, modifiers, monster2, stx, witness_pair, xor_modifier
+    from starxor import (
+        MonsterSpec,
+        modifiers,
+        monster2,
+        nerode_partition,
+        stx,
+        witness_pair,
+        xor_modifier,
+    )
     from starxor.tableaux import saturate_masks
 
     check_premises = getattr(modifiers, "saturation_premises_hold", None)
@@ -71,9 +80,9 @@ def main(argv: list[str] | None = None) -> int:
 
     print(
         "| shape | operands ms | operands sha256 | check ms | premises | quotient ms "
-        "| quotient sha256 | states | letters | minimize ms | classes | minimal sha256 |"
+        "| quotient sha256 | states | letters | nerode ms | rounds | classes | classes sha256 |"
     )
-    print("|---|---|---|---|---|---|---|---|---|---|---|---|")
+    print("|---" * 13 + "|")
     for name, operands in shapes:
         (first, second), operands_best = fastest(operands)
         n1, n2 = first.state_count, second.state_count
@@ -88,7 +97,7 @@ def main(argv: list[str] | None = None) -> int:
             if holds else stx
         )
         built, build_best = fastest(lambda: build(first, second))
-        minimal, minimize_best = fastest(lambda: minimize(built))
+        part, nerode_best = fastest(lambda: nerode_partition(built))
         print(
             f"| {name} | {operands_best * 1e3:.2f} "
             f"| {digest(first.delta, first.finals, second.delta, second.finals)} "
@@ -96,11 +105,11 @@ def main(argv: list[str] | None = None) -> int:
             f"| {'-' if check_best is None else 'yes' if holds else 'no'} "
             f"| {build_best * 1e3:.1f} | {digest(built.delta, built.state_masks)} "
             f"| {built.state_count:,} | {built.letter_count:,} "
-            f"| {minimize_best * 1e3:.1f} | {minimal.state_count:,} "
-            f"| {digest(minimal.delta, minimal.finals)} |",
+            f"| {nerode_best * 1e3:.1f} | {part.rounds} | {part.class_count:,} "
+            f"| {digest(part.class_of)} |",
             flush=True,
         )
-        del built, minimal
+        del built, part
     return 0
 
 

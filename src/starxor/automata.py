@@ -100,16 +100,16 @@ class NerodePartition:
     class_of is a read-only int32 array. Classes are numbered by first
     occurrence in state order, so state 0 is always in class 0, and reps,
     a read-only intp array, holds each class's least state in class order.
-    rounds is the number of refinement rounds of the attempt that gave the
-    partition, and attempts the number of hash weight sets tried (see
-    nerode_partition).
+    rounds is the number of refinement rounds, the last one included: hashed
+    rounds, and stalls that a split repaired (see nerode_partition). The
+    class count rises on every round but the last, so rounds is at most
+    state_count.
     """
 
     class_of: np.ndarray
     reps: np.ndarray
     class_count: int
     rounds: int
-    attempts: int
 
 
 # Frontier rows gathered per step of a breadth-first pass, as a bound on the
@@ -206,21 +206,25 @@ def _mix(h: np.ndarray) -> np.ndarray:
     return h
 
 
-def _hash_weights(attempt: int, count: int) -> np.ndarray:
-    """The first count outputs of the splitmix64 stream seeded with attempt."""
-    return _mix(np.arange(1, count + 1, dtype=np.uint64) * np.uint64(_GOLDEN) + np.uint64(attempt))
+def _hash_weights(count: int) -> np.ndarray:
+    """The first count outputs of the splitmix64 stream seeded with 0."""
+    return _mix(np.arange(1, count + 1, dtype=np.uint64) * np.uint64(_GOLDEN))
 
 
-def _hashed_round(a: Dfa, color: np.ndarray, count: int, attempt: int) -> np.ndarray:
+def _hashed_round(a: Dfa, color: np.ndarray, count: int) -> np.ndarray | None:
     """One round of Moore refinement with hashed signatures, in place on color.
 
-    color holds count colours 0..count-1 and comes back holding the new ones,
-    numbered in key order; returns the least state of each new colour. Each
-    state's signature (own colour, then successor colours) is written as one
-    row of the narrowest unsigned dtype that holds the colours, zero-padded
-    to whole uint64 words, one row block at a time. With x a row's words and
-    w, v the attempt's weights, the row's hash is x @ w + (x >> 32) @ v mod
-    2^64, then splitmix64's finaliser. State q's key is the hash's high bits
+    color holds count colours 0..count-1. When the round's keys give more
+    than count colours, color comes back holding the new ones, numbered in
+    key order, and the least state of each new colour is returned;
+    otherwise color is left as it was and the result is None (a stall).
+    Each state's signature (own colour, then successor colours) is written
+    as one row of the narrowest unsigned dtype that holds the colours,
+    zero-padded to whole uint64 words, one row block at a time. With x a
+    row's words and w, v the fixed weights, the row's hash is
+    x @ w + (x >> 32) @ v mod 2^64, then splitmix64's finaliser: rows that
+    differ only in the top bytes of two words would collide for half of all
+    weights without the high halves. State q's key is the hash's high bits
     above q's index, so one sort of the keys puts equal hashes in runs that
     each start at their least state.
     """
@@ -228,7 +232,7 @@ def _hashed_round(a: Dfa, color: np.ndarray, count: int, attempt: int) -> np.nda
     # uint8, uint16 or uint32: the narrowest that holds colour count - 1
     dtype = np.min_scalar_type(count - 1)
     words = -(-(width + 1) * dtype.itemsize // 8)
-    weights = _hash_weights(attempt, 2 * words)
+    weights = _hash_weights(2 * words)
     shift = (n - 1).bit_length()
     high_bits = np.uint64(2**64 - (1 << shift))
     # np.take makes an intp copy of each int32 index block, so blocks are
@@ -256,33 +260,55 @@ def _hashed_round(a: Dfa, color: np.ndarray, count: int, attempt: int) -> np.nda
         keys[lo:hi] = h
     keys.sort()
     breaks = (keys[1:] ^ keys[:-1]) >> shift != 0
+    classes = int(np.count_nonzero(breaks)) + 1
+    if classes <= count:
+        return None
     keys &= ~high_bits
     order = keys.view(np.int64)
     color[order[0]] = 0
     color[order[1:]] = np.cumsum(breaks, dtype=np.int32)
-    reps = np.empty(int(breaks.sum()) + 1, dtype=np.intp)
+    reps = np.empty(classes, dtype=np.intp)
     reps[0] = order[0]
     reps[1:] = order[1:][breaks]
     return reps
 
 
-def _is_stable(a: Dfa, final: np.ndarray, class_of: np.ndarray, reps: np.ndarray) -> bool:
+def _is_stable(
+    a: Dfa,
+    final: np.ndarray,
+    class_of: np.ndarray,
+    reps: np.ndarray,
+    unstable: list[np.ndarray] | None = None,
+) -> bool:
     """Is every class all final or all nonfinal, and does every state q have
     the successor classes of its class's representative reps[class_of[q]]?
 
-    One gather pass, a row block at a time, against the small table of the
-    representatives' successor classes; it stops at the first block that
-    differs.
+    One gather pass, a row block at a time, against the table of the
+    representatives' successor classes, which is itself gathered a block
+    of representatives at a time, in the narrowest dtype that holds the
+    classes. Without unstable, it stops at the first block that differs;
+    with it, it visits every block and appends to unstable, block by block
+    and in state order, the states whose finality or successor classes
+    differ from their representative's.
     """
-    if not np.array_equal(final[reps][class_of], final):
-        return False
     narrow = class_of.astype(np.min_scalar_type(len(reps) - 1))
-    expected = np.take(narrow, a.delta[reps])
     step = block_rows(8 * a.letter_count)
-    return all(
-        np.array_equal(np.take(narrow, a.delta[lo:lo + step]), expected[class_of[lo:lo + step]])
-        for lo in range(0, a.state_count, step)
-    )
+    expected = np.empty((len(reps), a.letter_count), dtype=narrow.dtype)
+    for lo in range(0, len(reps), step):
+        expected[lo:lo + step] = np.take(narrow, a.delta[reps[lo:lo + step]])
+    rep_final = final[reps]
+    stable = True
+    for lo in range(0, a.state_count, step):
+        classes = class_of[lo:lo + step]
+        wrong_final = rep_final[classes] != final[lo:lo + step]
+        got, want = np.take(narrow, a.delta[lo:lo + step]), expected[classes]
+        if not wrong_final.any() and np.array_equal(got, want):
+            continue
+        if unstable is None:
+            return False
+        stable = False
+        unstable.append(lo + np.flatnonzero(wrong_final | (got != want).any(axis=1)))
+    return stable
 
 
 def nerode_partition(a: Dfa) -> NerodePartition:
@@ -293,51 +319,64 @@ def nerode_partition(a: Dfa) -> NerodePartition:
     which states are reachable. From the finality split, each round
     (_hashed_round) gives two states one colour when their signatures (own
     colour, successor colours) hash to one key, and the refinement stops at
-    the first round whose partition passes an exact check (_is_stable).
+    the first partition that passes an exact check (_is_stable).
 
-    Why the result is exact. Equal signatures always get equal keys, so a
-    round can only merge states that Moore's round would separate. By
-    induction from the finality split, language-equivalent states share a
-    colour in every round: no round's partition is finer than the Nerode
-    partition. The check shows it is not coarser: every class is all final
-    or all nonfinal, and every state's successor classes equal its class
-    representative's. A partition that passes is a congruence that respects
-    finality, so it refines the Nerode partition, and the two are equal.
+    Why the result is exact. Call a partition sound when no class boundary
+    separates two language-equivalent states; the finality split is sound.
+    Equal signatures always get equal keys, so a hashed round can only
+    merge states that Moore's round would separate, and its partition is
+    sound when the one before it was. The check shows that the last
+    partition is no coarser than the Nerode partition: every class is all
+    final or all nonfinal, and every state's successor classes equal its
+    class representative's. A partition that passes is a congruence that
+    respects finality, so it refines the Nerode partition, and the two are
+    equal.
 
-    Collisions. Without one, a partition that fails the check splits in the
-    next round, so the count of colours rises. A round whose count does not
-    rise therefore shows a collision, and the refinement reruns from the
-    finality split with the next fixed weight set. The count cannot rise
-    past state_count, so every attempt ends. Write each word of a row as
-    a + 2^32 b: two distinct rows differ in some half-word by less than
-    2^32, so for uniform weights w and v their hashes agree mod 2^64 with
-    probability at most 2^-32 (over the weight that multiplies that half),
-    and a key keeps the high 64 - log2(state_count) bits of a bijection of
-    the hash. Hashing the words alone would not do: rows that differ only in
-    the top bytes of two words agree with probability up to 1/2.
+    Collisions, and why it ends. Without a collision, a partition that
+    fails the check splits in the next hashed round, so the count of
+    colours rises. A round whose count does not rise is a stall: the
+    colours stay as they were, and each class that fails the check splits
+    instead, its states whose finality or successor classes differ from
+    its representative's moving together into one new class. Each of them
+    differs from every state left behind in finality or in the class of
+    some successor, and classes never separate equivalent states, so the
+    split keeps the partition sound. Either way the count rises every
+    round but the last, and it cannot pass state_count, so the refinement
+    ends within state_count rounds, whatever the weights.
     """
     n = a.state_count
     final = np.zeros(n, dtype=bool)
     final[a.finals] = True
-    for attempt in itertools.count():
-        color = final.astype(np.int32)
-        count = 2 if 0 < len(a.finals) < n else 1
-        rounds = 0
-        while True:
-            rounds += 1
-            reps = _hashed_round(a, color, count, attempt)
+    # the finality split, with state 0's side colour 0
+    color = (final != final[0]).astype(np.int32)
+    other = int(color.argmax())
+    reps = np.array([0, other] if other else [0], dtype=np.intp)
+    rounds = 0
+    while True:
+        rounds += 1
+        hashed = _hashed_round(a, color, len(reps))
+        if hashed is not None:
+            reps = hashed
             if _is_stable(a, final, color, reps):
-                # renumber the classes by first occurrence in state order
-                reps.sort()
-                rank = np.empty(len(reps), dtype=np.int32)
-                rank[color[reps]] = np.arange(len(reps), dtype=np.int32)
-                class_of = rank[color]
-                class_of.flags.writeable = False
-                reps.flags.writeable = False
-                return NerodePartition(class_of, reps, len(reps), rounds, attempt + 1)
-            if len(reps) <= count:
                 break
-            count = len(reps)
+            continue
+        found = []
+        if _is_stable(a, final, color, reps, found):
+            break
+        # a stall: one new class per class, of its states that differ
+        # from its representative
+        unstable = np.concatenate(found)
+        _, first, inverse = unique_first(color[unstable])
+        color[unstable] = len(reps) + inverse
+        reps = np.concatenate([reps, unstable[first]])
+    # renumber the classes by first occurrence in state order
+    reps.sort()
+    rank = np.empty(len(reps), dtype=np.int32)
+    rank[color[reps]] = np.arange(len(reps), dtype=np.int32)
+    class_of = rank[color]
+    class_of.flags.writeable = False
+    reps.flags.writeable = False
+    return NerodePartition(class_of, reps, len(reps), rounds)
 
 
 def minimize(a: Dfa) -> Dfa:

@@ -281,7 +281,6 @@ def xor_modifier(a: Dfa, b: Dfa) -> Dfa:
 def stx(
     a: Dfa,
     b: Dfa,
-    full: bool = False,
     cap_states: int = DEFAULT_STATE_CAP,
     normalize: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> SubsetDfa:
@@ -291,12 +290,12 @@ def stx(
     (x, y)); the zone of product finals is the pairs where exactly one side is
     final, and the seed pair (initial, initial) plays the star's initial
     state. The n1*n2-state product is built in full first, which costs little
-    next to the subset construction; full, the caps and normalize go to
-    star_modifier.
+    next to the subset construction; the cap and normalize go to
+    star_modifier, which builds the forward closure of the empty set. For
+    the table of all 2^(n1*n2) subsets, call
+    star_modifier(xor_modifier(a, b), full=True).
     """
-    return star_modifier(
-        xor_modifier(a, b), full=full, cap_states=cap_states, normalize=normalize
-    )
+    return star_modifier(xor_modifier(a, b), cap_states=cap_states, normalize=normalize)
 
 
 def saturation_premises_hold(product: Dfa, n1: int, n2: int) -> bool:

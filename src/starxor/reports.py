@@ -11,7 +11,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-from .automata import Dfa, minimize
+from .automata import Dfa, nerode_partition
 from .modifiers import saturation_premises_hold, stx, xor_modifier
 from .tableaux import predicted_complexity, saturate_masks
 from .transforms import LimitExceeded
@@ -86,8 +86,10 @@ def measure_stx(
     saturation lemma's premises (saturation_premises_hold), which makes
     the quotient accept the same language as the full subset table, so it
     never rests on the lemma, only on the check. When the check fails, the
-    full table is built and minimized. The check runs after the build, so
-    a run that a cap cuts short never pays for it.
+    full table is built instead. The check runs after the build, so a run
+    that a cap cuts short never pays for it. Every state of either table is
+    reachable, so its count of language classes (nerode_partition) is the
+    minimal size; no quotient is built.
     """
     try:
         first, second = build_pair()
@@ -101,7 +103,7 @@ def measure_stx(
     except LimitExceeded as exc:
         return None, str(exc)
     note = "" if sound else "the saturation premises do not hold; minimized the full table"
-    return minimize(built).state_count, note
+    return nerode_partition(built).class_count, note
 
 
 def verdict(measured: int | None, predicted: int, at_most: bool = False) -> str:

@@ -1,5 +1,6 @@
 """DFA toolkit: accessibility, minimization, equivalence, renaming, formats."""
 
+import functools
 import itertools
 import json
 import random
@@ -24,10 +25,13 @@ from starxor import (
     monster2,
     nerode_partition,
     preimage_by_renaming,
+    star_modifier,
     stx,
     witness_pair,
+    xor_modifier,
 )
 from starxor import automata
+from starxor.tableaux import saturate_masks
 
 
 @st.composite
@@ -235,7 +239,7 @@ def test_minimize_makes_no_table_sized_temporary():
 )
 def test_unreachable_states_leave_the_minimal_table_unchanged(pair):
     # the full table holds all 2^(n1*n2) masks, most of them unreachable
-    full = stx(*pair, full=True)
+    full = star_modifier(xor_modifier(*pair), full=True)
     reachable = stx(*pair)
     assert full.state_count == 2 ** (pair[0].state_count * pair[1].state_count)
     assert full.state_count > reachable.state_count
@@ -406,15 +410,39 @@ def test_nerode_partition_holds_no_signature_table():
     assert peak + n * 5 * 8 > bound
 
 
+def zero_weights(count: int) -> np.ndarray:
+    return np.zeros(count, dtype=np.uint64)
+
+
+def spy_on_rounds(monkeypatch) -> list:
+    """Record whether each hashed round gave new colours (True) or stalled."""
+    hashed_round, seen = automata._hashed_round, []
+
+    def spy(*args):
+        reps = hashed_round(*args)
+        seen.append(reps is not None)
+        return reps
+
+    monkeypatch.setattr(automata, "_hashed_round", spy)
+    return seen
+
+
+@functools.cache
+def witness_classes(n1: int, n2: int) -> tuple[Dfa, list[int], int]:
+    """The witness's subset table, its oracle classes and its minimal size."""
+    a = stx(*witness_pair(n1, n2))
+    return a, list(helpers.signature_refinement(a)), helpers.distinguishable_classes(a)
+
+
 @pytest.mark.parametrize(
-    "first",
+    "weights",
     [
         # every key is the state's index alone: one class, which mixes
         # final and nonfinal states
-        lambda count: np.zeros(count, dtype=np.uint64),
-        # only the own colour, the low byte of a row's first word while the
-        # colours fit uint8: the finality split comes back unchanged, and its
-        # successor classes are not stable
+        zero_weights,
+        # only the low byte of a row's first word, which is the own colour
+        # while the colours fit uint8 and its low byte beyond: no round gives
+        # more colours than it was given
         pytest.param(
             lambda count: np.array([1 << 56] + [0] * (count - 1), dtype=np.uint64),
             marks=pytest.mark.skipif(sys.byteorder != "little", reason="little-endian word layout"),
@@ -422,43 +450,89 @@ def test_nerode_partition_holds_no_signature_table():
     ],
     ids=["zero-weights", "own-colour-only"],
 )
-def test_nerode_partition_reruns_after_a_collision(monkeypatch, first):
-    # first(count) stands in for the weights of attempt 0 only
-    library, seen = automata._hash_weights, []
-
-    def weights(attempt, count):
-        seen.append(attempt)
-        return first(count) if attempt == 0 else library(attempt, count)
-
+def test_nerode_partition_reruns_after_a_collision(monkeypatch, weights):
+    # the weights collide on every round, so every round stalls and is
+    # repaired by splitting the unstable classes; the refinement still ends,
+    # within state_count rounds, at the exact partition
     monkeypatch.setattr(automata, "_hash_weights", weights)
-    a = stx(*witness_pair(3, 3))
-    part = nerode_partition(a)
-    assert part.attempts == 2 and sorted(set(seen)) == [0, 1]
+    seen = spy_on_rounds(monkeypatch)
+    for n1, n2 in [(3, 3), (4, 3)]:
+        a, class_of, minimal = witness_classes(n1, n2)
+        seen.clear()
+        part = nerode_partition(a)
+        assert part.class_of.tolist() == class_of
+        assert part.class_count == minimal
+        assert not any(seen) and part.rounds == len(seen) <= a.state_count
+
+
+@settings(max_examples=150, deadline=None)
+@given(dfas(max_states=8))
+def test_nerode_partition_is_exact_when_every_round_collides(a):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(automata, "_hash_weights", zero_weights)
+        part = nerode_partition(a)
     assert part.class_of.tolist() == list(helpers.signature_refinement(a))
-    assert part.class_count == 66
+    assert part.rounds <= a.state_count
 
 
-@pytest.mark.parametrize("attempt", [0, 1, 2])
-def test_hashed_round_separates_rows_that_differ_in_top_bytes(attempt):
+def test_nerode_partition_rounds_without_a_collision(monkeypatch):
+    # witness (5,4): the 3,369 saturation classes refine in five hashed
+    # rounds, none of them a stall
+    first, second = witness_pair(5, 4)
+    q = stx(first, second, normalize=functools.partial(saturate_masks, n1=5, n2=4))
+    seen = spy_on_rounds(monkeypatch)
+    part = nerode_partition(q)
+    assert (q.state_count, part.class_count) == (3369, 3368)
+    assert part.rounds == 5 and seen == [True] * 5
+
+
+def test_nerode_partition_gathers_the_representatives_a_block_at_a_time():
+    # the full (4,3) monster's saturation quotient: 213 states over 6,912
+    # letters. The check may hold the representatives' successor classes in
+    # uint8 (one byte an entry, 1.5 MB) and one fill block: the int32 rows
+    # of a block of representatives, the intp copy np.take makes of them,
+    # and up to four uint8 blocks gathered from them or compared; 64 KiB
+    # covers the interpreter's own objects. An intp copy of all the
+    # representatives' rows of delta (11.8 MB) does not fit.
+    first, second = monster2(MonsterSpec.pair(4, 3, {3}, {0}))
+    q = stx(first, second, normalize=functools.partial(saturate_masks, n1=4, n2=3))
+    n, width = q.state_count, q.letter_count
+    assert (n, width) == (213, 6912)
+    rows = automata.block_rows(8 * width)
+    bound = n * width + rows * width * (4 + 8 + 4) + 2**16
+    tracemalloc.start()
+    try:
+        part = nerode_partition(q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert part.class_count == 212
+    assert peak < bound
+    assert peak + n * width * 8 > bound
+
+
+@pytest.mark.parametrize("base", [0, 1, 2])
+def test_hashed_round_separates_rows_that_differ_in_top_bytes(base):
     # 31 letters: a row is 32 uint8 colours in four words, and the successor
     # colours on letters 6, 14, 22 and 30 sit in the top bytes of the words.
-    # Rows that differ by 128 there differ by 2^63 in those words, so a hash
-    # of the words alone gives two of them one key whenever the two weights
-    # have equal parity, as some two of four weights always do
+    # Rows whose colours there are base and base + 128 differ by 2^63 in
+    # those words, so a hash of the words alone gives two of them one key
+    # whenever the two weights have equal parity, as some two of four weights
+    # always do
     width, top = 31, (6, 14, 22, 30)
     pairs = list(itertools.combinations(top, 2))
     # states 0..255 loop and are given colours 0..255; state 256 moves to
-    # state 0 on every letter, and state 257 + k to state 128 on the letters
-    # of pairs[k] and to state 0 on the others
+    # state base on every letter, and state 257 + k to state base + 128 on
+    # the letters of pairs[k] and to state base on the others
     n = 257 + len(pairs)
-    delta = np.zeros((n, width), dtype=np.int32)
+    delta = np.full((n, width), base, dtype=np.int32)
     delta[:256] = np.arange(256)[:, None]
     for k, letters in enumerate(pairs):
-        delta[257 + k, list(letters)] = 128
+        delta[257 + k, list(letters)] = base + 128
     a = Dfa(width, n, 0, (), delta)
     color = np.zeros(n, dtype=np.int32)
     color[:256] = np.arange(256)
-    automata._hashed_round(a, color, 256, attempt)
+    automata._hashed_round(a, color, 256)
     assert len(set(color[256:].tolist())) == 1 + len(pairs)
 
 

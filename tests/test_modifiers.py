@@ -108,13 +108,13 @@ def test_xor_needs_a_common_alphabet():
 
 
 def test_stx_equals_star_of_xor_on_every_final_pair():
-    # full tables over all four subsets of the 2 x 2 grid, all 16 final pairs
+    # reachable tables over the 2 x 2 grid, all 16 final pairs
     for f1_bits, f2_bits in itertools.product(range(4), repeat=2):
         f1 = {q for q in range(2) if f1_bits >> q & 1}
         f2 = {q for q in range(2) if f2_bits >> q & 1}
         m1, m2 = monster2(MonsterSpec.pair(2, 2, f1, f2))
-        direct = stx(m1, m2, full=True)
-        composed = star_modifier(xor_modifier(m1, m2), full=True)
+        direct = stx(m1, m2)
+        composed = star_modifier(xor_modifier(m1, m2))
         assert np.array_equal(direct.delta, composed.delta), (f1, f2)
         assert np.array_equal(direct.finals, composed.finals), (f1, f2)
         assert np.array_equal(direct.state_masks, composed.state_masks), (f1, f2)
@@ -149,7 +149,7 @@ def test_stx_state_cap():
     with pytest.raises(LimitExceeded):
         stx(m1, m2, cap_states=5)
     with pytest.raises(LimitExceeded):
-        stx(m1, m2, full=True, cap_states=15)
+        star_modifier(xor_modifier(m1, m2), full=True, cap_states=15)
 
 
 def test_modifiers_commute_with_renamings_spot_checks():
@@ -175,6 +175,11 @@ def test_minimized_star_still_recognizes_the_star():
         m = minimize(star_modifier(a))
         for word in helpers.all_words(a.letter_count, 6):
             assert helpers.accepts(m, word) == helpers.star_membership(a, word)
+
+
+def _stx(a, b, full=False):
+    # stx builds the reachable table; the full one is the star of the product
+    return star_modifier(xor_modifier(a, b), full=True) if full else stx(a, b)
 
 
 def _tables(s):
@@ -205,7 +210,7 @@ def test_stx_numbering_matches_the_reference_bfs():
     # same state numbers, masks, finals and initial as a queue-driven BFS
     for name, (a, b), full in _oracle_pairs():
         expected = _reference_tables(helpers.xor_product_reference(a, b), full)
-        assert _tables(stx(a, b, full=full)) == expected, name
+        assert _tables(_stx(a, b, full)) == expected, name
 
 
 def test_random_star_and_stx_tables_match_the_reference_bfs():
@@ -216,7 +221,7 @@ def test_random_star_and_stx_tables_match_the_reference_bfs():
         product = helpers.xor_product_reference(a, b)
         for full in (False, True):
             assert _tables(star_modifier(a, full=full)) == _reference_tables(a, full), a
-            assert _tables(stx(a, b, full=full)) == _reference_tables(product, full), (a, b)
+            assert _tables(_stx(a, b, full)) == _reference_tables(product, full), (a, b)
 
 
 @pytest.mark.parametrize(
@@ -243,7 +248,7 @@ def test_small_blocks_and_narrow_tables_keep_the_numbering(
         _assert_no_spare_capacity(s)
     a, b = monster2(MonsterSpec.pair(2, 3, {1}, {0}))
     expected = _reference_tables(helpers.xor_product_reference(a, b), full=True)
-    s = stx(a, b, full=True)
+    s = _stx(a, b, full=True)
     assert _tables(s) == expected
     _assert_no_spare_capacity(s)
 
@@ -269,7 +274,7 @@ def test_dense_and_sorted_maps_give_the_same_tables(monkeypatch, pair, full):
     for bound in (1 << n, (1 << n) - 1):
         monkeypatch.setattr(modifiers, "TABLE_ENTRIES", bound)
         inserts.clear()
-        s = stx(a, b, full=full)
+        s = _stx(a, b, full)
         runs.append((_tables(s), len(inserts) > 0))
         _assert_no_spare_capacity(s)
     assert [sorted_map for _, sorted_map in runs] == [False, True]
@@ -288,7 +293,7 @@ def test_normalize_numbers_the_normalized_images(monkeypatch, sorted_map):
     ]
     for a, b in pairs:
         n1, n2 = a.state_count, b.state_count
-        whole = stx(a, b, full=True)
+        whole = _stx(a, b, full=True)
         sat = saturate_masks(whole.state_masks, n1, n2)
         order, index = [0], {0: 0}
         for mask in order:
@@ -364,7 +369,7 @@ def test_stx_transition_cap(monkeypatch):
 
     def capped(cap, full=False):
         monkeypatch.setattr(modifiers, "TRANSITION_CAP", cap)
-        return stx(m1, m2, full=full)
+        return _stx(m1, m2, full)
 
     # 16 letters: one row fits a cap of 16 transitions, the first block's
     # successors do not

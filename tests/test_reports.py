@@ -64,7 +64,8 @@ def test_saturation_is_a_congruence_on_every_tableau(n1, n2):
     for f1 in helpers.final_sets(n1):
         for f2 in helpers.final_sets(n2):
             a, b = monster2(MonsterSpec.pair(n1, n2, f1, f2))
-            assert keyed_quotient(stx(a, b, full=True), n1, n2) is not None, (f1, f2)
+            whole = star_modifier(xor_modifier(a, b), full=True)
+            assert keyed_quotient(whole, n1, n2) is not None, (f1, f2)
             assert saturation_premises_hold(xor_modifier(a, b), n1, n2), (f1, f2)
 
 
@@ -200,14 +201,20 @@ def test_wide_and_tall_witnesses_take_the_checked_quotient(monkeypatch, n1, n2, 
 
 
 def test_measure_stx_minimizes_the_quotient_not_the_table(monkeypatch):
-    # refinement runs once, on the 213 saturation classes of witness (4,3)
+    # refinement runs once, on the 213 saturation classes of witness (4,3),
+    # and its class count is the size: no quotient or accessible part is built
     sizes = []
-    refine = automata.nerode_partition
+    refine = reports.nerode_partition
 
     def counted(a):
         sizes.append(a.state_count)
         return refine(a)
 
-    monkeypatch.setattr(automata, "nerode_partition", counted)
+    def unused(*args):
+        raise AssertionError("the measurement builds no quotient")
+
+    monkeypatch.setattr(reports, "nerode_partition", counted)
+    monkeypatch.setattr(automata, "_class_quotient", unused)
+    monkeypatch.setattr(automata, "accessible_part", unused)
     assert measure_stx(lambda: witness_pair(4, 3), 2**22) == (212, "")
     assert sizes == [213]

@@ -24,7 +24,9 @@ from starxor import (
     monster2,
     nerode_partition,
     predicted_complexity,
+    star_modifier,
     stx,
+    xor_modifier,
 )
 from starxor.automata import BLOCK_ENTRIES, block_rows
 from starxor.tableaux import _count_profile, cell_bit, saturate_masks
@@ -305,7 +307,7 @@ def test_transition_compatibility_with_single_closure_steps():
     # tableaux agree on finality
     n1 = n2 = 2
     m1, m2 = monster2(MonsterSpec.pair(2, 2, {1}, {0}))
-    s = stx(m1, m2, full=True)
+    s = star_modifier(xor_modifier(m1, m2), full=True)
     rows = s.delta.tolist()
     z = final_zone(2, 2, {1}, {0})
 
