@@ -21,7 +21,8 @@ which `nerode_partition` then runs on, as `measure_stx` does.
 The shapes: the witness at (5,4), the witness-deep benchmark's operands,
 at (4,4) and at (2,8), a grid eight columns wide; the (3,3) monster of two
 final pairs, 729 letters each, as in the sweep-wide benchmark; and the
-full (4,3) monster over 6,912 letters.
+full (4,3) and (4,4) monsters over 6,912 and 65,536 letters. The (4,4)
+shape holds about 350 MB at its peak.
 """
 
 from __future__ import annotations
@@ -63,6 +64,7 @@ def main(argv: list[str] | None = None) -> int:
         ("monster (3,3) {2} {0}", lambda: monster2(MonsterSpec.pair(3, 3, {2}, {0}))),
         ("monster (3,3) {0,1} {1}", lambda: monster2(MonsterSpec.pair(3, 3, {0, 1}, {1}))),
         ("full monster (4,3)", lambda: monster2(MonsterSpec.pair(4, 3, {3}, {0}))),
+        ("full monster (4,4)", lambda: monster2(MonsterSpec.pair(4, 4, {3}, {0}))),
     ]
 
     def fastest(call):

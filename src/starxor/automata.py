@@ -283,25 +283,26 @@ def _is_stable(
     """Is every class all final or all nonfinal, and does every state q have
     the successor classes of its class's representative reps[class_of[q]]?
 
-    One gather pass, a row block at a time, against the table of the
-    representatives' successor classes, which is itself gathered a block
-    of representatives at a time, in the narrowest dtype that holds the
-    classes. Without unstable, it stops at the first block that differs;
-    with it, it visits every block and appends to unstable, block by block
-    and in state order, the states whose finality or successor classes
-    differ from their representative's.
+    One gather pass, a row block at a time, in the narrowest dtype that
+    holds the classes: a block's successor classes against those of its
+    states' representatives, whose rows are gathered with the block, so no
+    table of them is held. Without unstable, it stops at the first block
+    that differs; with it, it visits every block and appends to unstable,
+    block by block and in state order, the states whose finality or
+    successor classes differ from their representative's.
     """
     narrow = class_of.astype(np.min_scalar_type(len(reps) - 1))
-    step = block_rows(8 * a.letter_count)
-    expected = np.empty((len(reps), a.letter_count), dtype=narrow.dtype)
-    for lo in range(0, len(reps), step):
-        expected[lo:lo + step] = np.take(narrow, a.delta[reps[lo:lo + step]])
+    # half a refinement block: beside a block's colours, the gather of its
+    # representatives' colours holds their rows of delta and the intp copy
+    # np.take makes of them
+    step = block_rows(16 * a.letter_count)
     rep_final = final[reps]
     stable = True
     for lo in range(0, a.state_count, step):
         classes = class_of[lo:lo + step]
         wrong_final = rep_final[classes] != final[lo:lo + step]
-        got, want = np.take(narrow, a.delta[lo:lo + step]), expected[classes]
+        got = np.take(narrow, a.delta[lo:lo + step])
+        want = np.take(narrow, a.delta[reps[classes]])
         if not wrong_final.any() and np.array_equal(got, want):
             continue
         if unstable is None:

@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import argparse
 import json
+# argparse's gettext imports locale the first time main builds the parser;
+# importing it with the module keeps that cost out of every command's run
+import locale  # noqa: F401
 import os
 import sys
 from typing import Sequence

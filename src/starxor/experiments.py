@@ -5,7 +5,6 @@ from __future__ import annotations
 import csv
 import json
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from typing import Any, Callable, Iterable
 
@@ -177,6 +176,10 @@ def sweep_reports(
     # a fork pool starts all its workers at once, and one beyond the tasks would idle
     workers = min(jobs, len(tasks))
     if workers > 1:
+        # imported here: the pool's modules cost every other run about 8 ms
+        # of start-up
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             sizes = list(pool.map(_sweep_one, tasks))
     else:

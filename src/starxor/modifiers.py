@@ -57,26 +57,30 @@ class SubsetDfa(Dfa):
     __hash__ = Dfa.__hash__
 
 
-def _image_tables(delta: np.ndarray, dtype: type) -> tuple[np.ndarray, int]:
-    """Per-letter lookup tables for subset images, and the chunk width in bits.
+def _image_tables(a: Dfa, dtype: type) -> tuple[np.ndarray, int]:
+    """Per-letter lookup tables for the star's subset images, and the chunk width.
 
-    delta[i, j] is letter j's image of state i. A mask is read in chunks of
-    width bits; tables[c, v, j] is the image under letter j of the states that
-    the chunk value v stands for in chunk c. Each chunk costs one gather per
-    image entry, and each table entry one step to build, so the mask is read
-    in two halves of ceil(n / 2) bits, or, where those tables do not fit in
-    TABLE_ENTRIES, in the fewest chunks of equal width whose tables do (one
-    bit wide when none do). One table of all n bits would take 2^n rows,
-    more than most searches ever gather from. Images are held as dtype.
+    A mask of a's states is read in chunks of width bits; tables[c, v, j] is
+    the image under letter j of the states that the chunk value v stands
+    for in chunk c, with the seed rule: the bit of a final state carries the
+    initial state's, so an image holds the initial state when it meets the
+    finals. Each chunk costs one gather per image entry, and each table
+    entry one step to build, so the mask is read in two halves of ceil(n / 2)
+    bits, or, where those tables do not fit in TABLE_ENTRIES, in the fewest
+    chunks of equal width whose tables do (one bit wide when none do). One
+    table of all n bits would take 2^n rows, more than most searches ever
+    gather from. Images are held as dtype.
     """
-    n, letters = delta.shape
+    n, letters = a.state_count, a.letter_count
     width = next(
         w for w in (-(-n // c) for c in range(2, n + 2))
         if w == 1 or -(-n // w) * letters << w <= TABLE_ENTRIES
     )
     chunks = -(-n // width)
+    state_bits = np.left_shift(dtype(1), np.arange(n, dtype=dtype))
+    state_bits[a.finals] |= dtype(1 << a.initial)
     bits = np.zeros((chunks * width, letters), dtype=dtype)
-    bits[:n] = np.left_shift(dtype(1), delta.astype(dtype))
+    bits[:n] = state_bits[a.delta]
     tables = np.zeros((chunks, 1 << width, letters), dtype=dtype)
     for b in range(width):
         low = 1 << b
@@ -106,10 +110,7 @@ def _star_images(a: Dfa, dtype: type) -> tuple[Callable[..., np.ndarray], int]:
         )
     fmask = dtype(sum(1 << q for q in a.finals.tolist()))
     ibit = dtype(1 << a.initial)
-    tables, width = _image_tables(a.delta, dtype)
-    # an image meets the finals exactly when one of its chunk images does, so
-    # the initial state joins each chunk image that meets them
-    tables[(tables & fmask) != 0] |= ibit
+    tables, width = _image_tables(a, dtype)
     chunk = dtype((1 << width) - 1)
 
     def images(masks: np.ndarray, letters: slice = slice(None)) -> np.ndarray:
@@ -145,7 +146,15 @@ def star_modifier(
     only where normalize is compatible with the step: measure_stx passes
     saturation, and uses the result only once saturation_premises_hold
     shows that it is. With normalize=None the tables are exactly those
-    without it.
+    without it. full=True takes no normalize (ValueError): every mask would
+    be a state already.
+
+    The dense map (below) memoizes normalize: it hands it each image mask
+    once per construction, the first time that mask is seen, and reads the
+    state of a repeat from the map. So normalize must be pure, the same
+    masks for the same masks on every call, and idempotent, fixing every
+    mask it returns: a normalized mask is its own entry in the map. The
+    sorted map normalizes every image.
 
     The frontier is expanded a block of rows at a time, every letter at once,
     into one table. When 2^n <= TABLE_ENTRIES, masks are held as int32 and
@@ -156,6 +165,8 @@ def star_modifier(
     letter count, TRANSITION_CAP; it is raised up front if a has more than
     MAX_OPERAND_STATES states.
     """
+    if full and normalize is not None:
+        raise ValueError("full=True builds every subset; it takes no normalize")
     n, letters = a.state_count, a.letter_count
     dtype = _mask_dtype(n)
     dense = dtype is np.int32
@@ -198,11 +209,13 @@ def star_modifier(
         masks = np.empty(min(step, limit), dtype=dtype)
         masks[0] = 0
 
-    # number(img, count, ids) writes into ids the state ids of the masks in
-    # img, numbering the unseen ones count, count + 1, ... by first
-    # occurrence, and returns the unseen masks in that order
+    # number(img, count, ids) writes into ids the state ids of the
+    # (normalized) masks in img, numbering the unseen ones count, count + 1,
+    # ... by first occurrence, and returns the unseen masks in that order
     if dense:
-        # dense map: slot[m] is the id of mask m, -1 while m is unseen
+        # dense map: slot[m] is the id of the state that mask m goes to, -1
+        # while m is unseen; with normalize, m is any image seen so far and
+        # its state that of normalize(m)
         slot = np.full(1 << n, -1, dtype=np.int32)
         slot[masks[:count]] = np.arange(count, dtype=np.int32)
 
@@ -212,7 +225,18 @@ def star_modifier(
             np.take(slot, img, out=ids, mode="clip")
             unseen = np.flatnonzero(ids < 0)
             found = img[unseen]
-            fresh = number_first(slot, found, count)
+            if normalize is None or not len(found):
+                fresh = number_first(slot, found, count)
+            else:
+                # each unseen image once, in first-occurrence order, which
+                # slot numbers only for the moment; the normalized masks
+                # keep that order, so the unseen ones among them are
+                # numbered as if every image had been normalized
+                raw = number_first(slot, found, 0)
+                slot[raw] = -1
+                sat = normalize(raw)
+                fresh = number_first(slot, sat[slot[sat] < 0], count)
+                slot[raw] = slot[sat]
             ids[unseen] = slot[found]
             return fresh
     else:
@@ -223,6 +247,8 @@ def star_modifier(
 
         def number(img: np.ndarray, count: int, ids: np.ndarray) -> np.ndarray:
             nonlocal known, known_id
+            if normalize is not None:
+                img = normalize(img)
             values, first, inverse = unique_first(img)
             at = np.searchsorted(known, values)
             old = known[np.minimum(at, len(known) - 1)] == values
@@ -241,8 +267,6 @@ def star_modifier(
         rows = min(step, count - done)
         table = room(table, done, done + rows)
         img = images(masks[done:done + rows]).reshape(-1)
-        if normalize is not None:
-            img = normalize(img)
         fresh = number(img, count, table[done:done + rows].reshape(-1))
         check_caps(count + len(fresh))
         masks = room(masks, count, count + len(fresh))

@@ -163,9 +163,11 @@ def random_renaming(
 def distinguishable_classes(a: Dfa) -> int:
     """Minimal state count for L(a), by the pair-marking table method.
 
-    A different algorithm family from signature refinement: mark pairs with
-    differing finality, propagate backwards to a fixpoint, count classes of
-    reachable states.
+    A different algorithm family from signature refinement: a boolean table
+    over pairs of reachable states, marked where finality differs, then
+    marked wherever some letter leads to a marked pair, to a fixpoint. A
+    reachable state starts a class when it is marked against every state
+    before it.
     """
     rows = a.delta.tolist()
     reachable = {a.initial}
@@ -176,39 +178,22 @@ def distinguishable_classes(a: Dfa) -> int:
             if t not in reachable:
                 reachable.add(t)
                 frontier.append(t)
-    states = sorted(reachable)
-    finals = set(a.finals.tolist())
-    marked: set[tuple[int, int]] = set()
-    for i, p in enumerate(states):
-        for q in states[i + 1:]:
-            if (p in finals) != (q in finals):
-                marked.add((p, q))
-    changed = True
-    while changed:
-        changed = False
-        for i, p in enumerate(states):
-            for q in states[i + 1:]:
-                if (p, q) in marked:
-                    continue
-                for j in range(a.letter_count):
-                    x, y = rows[p][j], rows[q][j]
-                    if x > y:
-                        x, y = y, x
-                    if x != y and (x, y) in marked:
-                        marked.add((p, q))
-                        changed = True
-                        break
-    class_of: dict[int, int] = {}
-    count = 0
-    for i, p in enumerate(states):
-        for q in states[:i]:
-            if (q, p) not in marked:
-                class_of[p] = class_of[q]
-                break
-        else:
-            class_of[p] = count
-            count += 1
-    return count
+    states = np.array(sorted(reachable))
+    index = np.zeros(a.state_count, dtype=np.intp)
+    index[states] = np.arange(len(states))
+    # succ[p, j] is the position in states of state p's successor on letter j
+    succ = index[a.delta[states]]
+    final = np.isin(states, a.finals)
+    marked = final[:, None] != final[None, :]
+    count = np.count_nonzero(marked)
+    while True:
+        for t in succ.T:
+            # (p, q) gets marked when (succ[p, j], succ[q, j]) is
+            marked |= np.take(np.take(marked, t, axis=0), t, axis=1)
+        before, count = count, np.count_nonzero(marked)
+        if count == before:
+            break
+    return len(states) - int(np.tril(~marked, -1).any(axis=1).sum())
 
 
 def star_of_xor_size(a: Dfa, b: Dfa) -> int:

@@ -488,8 +488,9 @@ def test_nerode_partition_rounds_without_a_collision(monkeypatch):
 
 def test_nerode_partition_gathers_the_representatives_a_block_at_a_time():
     # the full (4,3) monster's saturation quotient: 213 states over 6,912
-    # letters. The check may hold the representatives' successor classes in
-    # uint8 (one byte an entry, 1.5 MB) and one fill block: the int32 rows
+    # letters. The bound allows a table of the representatives' successor
+    # classes in uint8 (one byte an entry, 1.5 MB), which the check no
+    # longer holds (see the test below), and one fill block: the int32 rows
     # of a block of representatives, the intp copy np.take makes of them,
     # and up to four uint8 blocks gathered from them or compared; 64 KiB
     # covers the interpreter's own objects. An intp copy of all the
@@ -509,6 +510,35 @@ def test_nerode_partition_gathers_the_representatives_a_block_at_a_time():
     assert part.class_count == 212
     assert peak < bound
     assert peak + n * width * 8 > bound
+
+
+def test_stability_check_holds_no_table_of_the_representatives(monkeypatch):
+    # witness (5,5): 15,931 quotient states over 17 letters, 15,930 classes,
+    # so a table of the representatives' successor classes (uint16) would be
+    # another copy of delta, 542 KB. In blocks of 64 rows the check may hold
+    # the uint16 colours and the finality of the representatives, and per
+    # block the block's uint16 colours and its representatives' rows of
+    # delta (int32), the intp copy np.take makes of them and the uint16
+    # colours gathered from it; 64 KiB covers the interpreter's own objects.
+    a, b = witness_pair(5, 5)
+    q = stx(a, b, normalize=functools.partial(saturate_masks, n1=5, n2=5))
+    part = nerode_partition(q)
+    n, width = q.state_count, q.letter_count
+    assert (n, width, part.class_count) == (15931, 17, 15930)
+    final = np.zeros(n, dtype=bool)
+    final[q.finals] = True
+    rows = 64
+    monkeypatch.setattr(automata, "BLOCK_ENTRIES", 16 * width * rows)
+    bound = n * (2 + 1) + rows * (width * (2 + 4 + 8 + 2) + 8) + 2**16
+    tracemalloc.start()
+    try:
+        stable = automata._is_stable(q, final, part.class_of, part.reps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert stable
+    assert peak < bound
+    assert peak + part.class_count * width * 2 > bound
 
 
 @pytest.mark.parametrize("base", [0, 1, 2])

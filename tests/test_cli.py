@@ -248,3 +248,18 @@ def test_importing_the_cli_leaves_numpy_random_unloaded():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60, check=True
     )
     assert proc.stdout.strip() == "False"
+
+
+def test_importing_the_cli_leaves_the_process_pool_unloaded():
+    # only a sweep with --jobs above 1 starts a pool; the rest of the CLI
+    # should not pay for importing one
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    code = (
+        "import sys, starxor.cli; "
+        "print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60, check=True
+    )
+    assert proc.stdout.strip() == "[]"

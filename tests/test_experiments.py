@@ -1,5 +1,6 @@
 """Report builders behind the CLI: the shared cap-skip path and the parallel sweep."""
 
+import concurrent.futures
 import itertools
 
 import pytest
@@ -61,7 +62,8 @@ def test_sweep_starts_no_more_workers_than_orbits(monkeypatch):
         def map(self, fn, tasks):
             return map(fn, tasks)
 
-    monkeypatch.setattr(experiments, "ProcessPoolExecutor", SerialPool)
+    # sweep_reports imports the pool only when it starts one
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     # (2,2) has 16 final-set pairs in 6 orbits
     rows, _ = sweep_reports(2, 2, jobs=1)
     assert started == []

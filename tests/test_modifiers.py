@@ -242,7 +242,7 @@ def test_small_blocks_and_narrow_tables_keep_the_numbering(
     for n1, n2, width in [(3, 3, width_33), (4, 3, width)]:
         a, b = witness_pair(n1, n2)
         product = helpers.xor_product_reference(a, b)
-        assert modifiers._image_tables(product.delta, np.int32)[1] == width
+        assert modifiers._image_tables(product, np.int32)[1] == width
         s = stx(a, b)
         assert _tables(s) == _reference_tables(product), (n1, n2)
         _assert_no_spare_capacity(s)
@@ -313,6 +313,60 @@ def test_normalize_numbers_the_normalized_images(monkeypatch, sorted_map):
         monkeypatch.undo()
 
 
+def _spying_saturation(n1, n2, seen):
+    # saturation that records every block of masks it is handed
+    def normalize(masks):
+        seen.append(np.array(masks))
+        return saturate_masks(masks, n1, n2)
+
+    return normalize
+
+
+@pytest.mark.parametrize(
+    "pair",
+    [witness_pair(5, 4), monster2(MonsterSpec.pair(3, 3, {2}, {0}))],
+    ids=["witness (5,4)", "monster (3,3)"],
+)
+def test_dense_map_normalizes_each_image_once(pair):
+    # the dense map remembers each image's state, so a repeated image, or
+    # one that is already a state's mask, never reaches normalize again;
+    # a search that normalized every image would hand over one mask per
+    # transition, 3,369 x 17 = 57,273 at witness (5,4)
+    a, b = pair
+    n1, n2 = a.state_count, b.state_count
+    seen = []
+    q = stx(a, b, normalize=_spying_saturation(n1, n2, seen))
+    handed = np.concatenate(seen)
+    assert len(np.unique(handed)) == len(handed) < q.state_count * q.letter_count
+    # what is handed over are images, and an image not handed over is a
+    # state's mask, numbered before the image first came up
+    images = set(modifiers._star_images(xor_modifier(a, b), np.int32)[0](q.state_masks).flat)
+    assert set(handed.tolist()) <= images <= set(handed.tolist()) | set(q.state_masks.tolist())
+
+
+@pytest.mark.parametrize(
+    "pair",
+    [witness_pair(4, 3), witness_pair(5, 4), monster2(MonsterSpec.pair(3, 3, {0, 1}, {1}))],
+    ids=["witness (4,3)", "witness (5,4)", "monster (3,3)"],
+)
+def test_saturation_is_idempotent_on_the_quotient_masks(pair):
+    # the memo reads a saturated mask's own entry as its state, which is
+    # sound only because saturation fixes the masks it returns
+    a, b = pair
+    n1, n2 = a.state_count, b.state_count
+    q = stx(a, b, normalize=functools.partial(saturate_masks, n1=n1, n2=n2))
+    assert np.array_equal(saturate_masks(q.state_masks, n1, n2), q.state_masks)
+    images = q.state_masks[q.delta].reshape(-1)
+    assert np.array_equal(saturate_masks(images, n1, n2), images)
+
+
+def test_full_table_takes_no_normalize():
+    # every subset is a state of the full table, so normalize would be skipped
+    product = xor_modifier(*witness_pair(2, 2))
+    with pytest.raises(ValueError, match="full=True"):
+        star_modifier(product, full=True, normalize=lambda masks: masks)
+
+
 def test_dense_and_sorted_maps_agree_where_masks_reach_bit_21(monkeypatch):
     # 22 operand states is the widest the dense map takes at the default
     # TABLE_ENTRIES; its int32 masks must come out as the sorted map's int64
@@ -340,12 +394,12 @@ def test_dense_map_costs_four_bytes_per_mask(monkeypatch):
         finally:
             tracemalloc.stop()
 
-    delta = helpers.cycle_dfa(20).delta
-    dense_tables, width = modifiers._image_tables(delta, np.int32)
+    cycle = helpers.cycle_dfa(20)
+    dense_tables, width = modifiers._image_tables(cycle, np.int32)
     assert width == 10
     dense = peak()
     monkeypatch.setattr(modifiers, "TABLE_ENTRIES", 2**20 - 1)
-    sparse_tables, width = modifiers._image_tables(delta, np.int64)
+    sparse_tables, width = modifiers._image_tables(cycle, np.int64)
     assert width == 10
     sparse = peak()
     extra = 4 * 2**20 + dense_tables.nbytes - sparse_tables.nbytes - 4 * automata.block_rows(1)
