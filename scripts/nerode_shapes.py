@@ -5,16 +5,21 @@
 Builds each shape's operands --repeat times and prints the fastest build
 in ms with a digest of both operands' `delta` and `finals`. Then it times
 the steps `measure_stx` takes, each --repeat times, fastest call in ms:
-`saturation_premises_hold` on the operands' xor product, the exact check
-of the saturation lemma's premises, with its verdict; the direct build of
-the saturation quotient, `stx(..., normalize=saturate_masks)`, with a
-digest of its `delta` and `state_masks` and its state and letter counts;
-and `nerode_partition` of that quotient, whose class count is the size
-`measure_stx` reports, with its rounds, its class count and a digest of
-`class_of`. Equal digests mean equal operands, quotient tables and
-partitions, so two source trees can be compared kernel for kernel: --src
-imports `starxor` from another tree's `src` directory (default: this
-one's). Where a tree has no premise check, or its check refuses, the
+picking the saturation (`reports.saturation_normalizer`, which builds
+the lookup table of every grid mask where that pays), with the one it
+picked, `table` or `kernel` (`saturate_masks`);
+`saturation_premises_hold` on the operands' xor product with that
+saturation, the exact check of the saturation lemma's premises, with its
+verdict; the direct build of the saturation quotient, `stx(...,
+normalize=that saturation)`, with a digest of its `delta` and
+`state_masks` and its state and letter counts; and `nerode_partition` of
+that quotient, whose class count is the size `measure_stx` reports, with
+its rounds, its class count and a digest of `class_of`. Equal digests mean
+equal operands, quotient tables and partitions, so two source trees can be
+compared kernel for kernel: --src imports `starxor` from another tree's
+`src` directory (default: this one's). A tree without
+`saturation_normalizer` saturates with the kernel, and its check takes no
+saturation. Where a tree has no premise check, or its check refuses, the
 check columns print `-` or `no` and the build is the full subset table,
 which `nerode_partition` then runs on, as `measure_stx` does.
 
@@ -50,6 +55,7 @@ def main(argv: list[str] | None = None) -> int:
         modifiers,
         monster2,
         nerode_partition,
+        reports,
         stx,
         witness_pair,
         xor_modifier,
@@ -57,6 +63,7 @@ def main(argv: list[str] | None = None) -> int:
     from starxor.tableaux import saturate_masks
 
     check_premises = getattr(modifiers, "saturation_premises_hold", None)
+    pick = getattr(reports, "saturation_normalizer", None)
     shapes = [
         ("witness (5,4)", lambda: witness_pair(5, 4)),
         ("witness (4,4)", lambda: witness_pair(4, 4)),
@@ -81,28 +88,34 @@ def main(argv: list[str] | None = None) -> int:
         return hashlib.sha256(data).hexdigest()[:12]
 
     print(
-        "| shape | operands ms | operands sha256 | check ms | premises | quotient ms "
-        "| quotient sha256 | states | letters | nerode ms | rounds | classes | classes sha256 |"
+        "| shape | operands ms | operands sha256 | saturation | pick ms | check ms | premises "
+        "| quotient ms | quotient sha256 | states | letters | nerode ms | rounds | classes "
+        "| classes sha256 |"
     )
-    print("|---" * 13 + "|")
+    print("|---" * 15 + "|")
     for name, operands in shapes:
         (first, second), operands_best = fastest(operands)
         n1, n2 = first.state_count, second.state_count
+        product = xor_modifier(first, second)
+        if pick is None:
+            saturate, pick_best = functools.partial(saturate_masks, n1=n1, n2=n2), None
+            check = lambda: check_premises(product, n1, n2)
+        else:
+            saturate, pick_best = fastest(lambda: pick(n1, n2, first.letter_count))
+            check = lambda: check_premises(product, n1, n2, saturate)
+        route = "kernel" if isinstance(saturate, functools.partial) else "table"
         holds, check_best = False, None
         if check_premises is not None:
-            holds, check_best = fastest(
-                lambda: check_premises(xor_modifier(first, second), n1, n2)
-            )
+            holds, check_best = fastest(check)
         # a tree without the check has no normalize argument either
-        build = (
-            functools.partial(stx, normalize=functools.partial(saturate_masks, n1=n1, n2=n2))
-            if holds else stx
-        )
+        build = functools.partial(stx, normalize=saturate) if holds else stx
         built, build_best = fastest(lambda: build(first, second))
         part, nerode_best = fastest(lambda: nerode_partition(built))
         print(
             f"| {name} | {operands_best * 1e3:.2f} "
             f"| {digest(first.delta, first.finals, second.delta, second.finals)} "
+            f"| {route if holds else '-'} "
+            f"| {'-' if pick_best is None else f'{pick_best * 1e3:.2f}'} "
             f"| {'-' if check_best is None else f'{check_best * 1e3:.1f}'} "
             f"| {'-' if check_best is None else 'yes' if holds else 'no'} "
             f"| {build_best * 1e3:.1f} | {digest(built.delta, built.state_masks)} "

@@ -19,6 +19,7 @@ from .tableaux import (
     final_zone,
     predicted_complexity,
 )
+from .transforms import LimitExceeded
 from .witness import sigma_prime, verify_witness, witness_pair
 
 SC_METHODS = ("formula", "full-monster", "witness", "all")
@@ -141,11 +142,8 @@ def orbit_key(
 
 
 def _sweep_one(args: tuple) -> int | None:
-    n1, n2, f1, f2, cap_states, cap_letters = args
-    measured, _ = measure_stx(
-        lambda: monster2(MonsterSpec.pair(n1, n2, f1, f2), cap_letters=cap_letters),
-        cap_states,
-    )
+    first, second, cap_states = args
+    measured, _ = measure_stx(lambda: (first, second), cap_states)
     return measured
 
 
@@ -158,37 +156,48 @@ def sweep_reports(
 ) -> tuple[list[dict[str, Any]], ExperimentReport]:
     """Minimal sizes for every final-set pair, plus the where-is-the-max summary.
 
-    One construction runs per symmetry orbit (orbit_key), on the orbit's
-    first pair in sweep order, and its size goes to every row of the orbit.
-    Each row carries the tableau count for its own zone as predicted, an upper
-    bound for the measured size; the summary asserts the overall maximum is
-    attained at ({n1-1}, {0}).
+    The pair alphabet is built once (monster2), and one construction runs
+    per symmetry orbit (orbit_key), on the orbit's first pair in sweep
+    order: the monsters with that pair's finals. Its size goes to every row
+    of the orbit, and so does the tableau count for the orbit's zone, which
+    is the same at every pair of an orbit; it is each row's predicted value,
+    an upper bound for the measured size. A letter cap skips every row.
+    The summary asserts the overall maximum is attained at ({n1-1}, {0}).
     """
     t0 = time.perf_counter()
     pairs = [(f1, f2) for f1 in _subsets(n1) for f2 in _subsets(n2)]
     representatives: dict[tuple, tuple] = {}
     for f1, f2 in pairs:
         representatives.setdefault(orbit_key(n1, n2, f1, f2), (f1, f2))
-    tasks = [
-        (n1, n2, f1, f2, cap_states, cap_letters)
-        for f1, f2 in representatives.values()
-    ]
-    # a fork pool starts all its workers at once, and one beyond the tasks would idle
-    workers = min(jobs, len(tasks))
-    if workers > 1:
-        # imported here: the pool's modules cost every other run about 8 ms
-        # of start-up
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            sizes = list(pool.map(_sweep_one, tasks))
+    try:
+        first, second = monster2(MonsterSpec.pair(n1, n2, (), ()), cap_letters=cap_letters)
+    except LimitExceeded:
+        sizes = [None] * len(representatives)
     else:
-        sizes = [_sweep_one(t) for t in tasks]
+        tasks = [
+            (replace(first, finals=f1), replace(second, finals=f2), cap_states)
+            for f1, f2 in representatives.values()
+        ]
+        # a fork pool starts all its workers at once, and one beyond the tasks would idle
+        workers = min(jobs, len(tasks))
+        if workers > 1:
+            # imported here: the pool's modules cost every other run about 8 ms
+            # of start-up
+            from concurrent.futures import ProcessPoolExecutor
+
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                sizes = list(pool.map(_sweep_one, tasks))
+        else:
+            sizes = [_sweep_one(t) for t in tasks]
     size_of = dict(zip(representatives, sizes))
+    predicted_of = {
+        key: count_constrained(final_zone(n1, n2, f1, f2))
+        for key, (f1, f2) in representatives.items()
+    }
     rows = []
     for f1, f2 in pairs:
-        measured = size_of[orbit_key(n1, n2, f1, f2)]
-        predicted = count_constrained(final_zone(n1, n2, f1, f2))
+        key = orbit_key(n1, n2, f1, f2)
+        measured, predicted = size_of[key], predicted_of[key]
         rows.append({
             "n1": n1,
             "n2": n2,

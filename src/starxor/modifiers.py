@@ -14,7 +14,6 @@ from typing import Callable
 import numpy as np
 
 from .automata import Dfa, block_rows, number_first, unique_first
-from .tableaux import saturate_masks
 from .transforms import LimitExceeded
 
 DEFAULT_STATE_CAP = 2**22
@@ -57,19 +56,36 @@ class SubsetDfa(Dfa):
     __hash__ = Dfa.__hash__
 
 
+def _seeded_bits(a: Dfa, dtype: type) -> np.ndarray:
+    """bits[q] is the mask of state q, with the star's seed rule folded in.
+
+    The bit of a final state carries the initial state's, so the union of
+    bits[f(q)] over a nonempty set E is the star's step on E: f(E), with the
+    initial state joined when f(E) meets the finals. LimitExceeded is raised
+    if a has more than MAX_OPERAND_STATES states.
+    """
+    n = a.state_count
+    if n > MAX_OPERAND_STATES:
+        raise LimitExceeded(
+            f"{n} operand states exceed the limit of {MAX_OPERAND_STATES} for int64 subset masks"
+        )
+    bits = np.left_shift(dtype(1), np.arange(n, dtype=dtype))
+    bits[a.finals] |= dtype(1 << a.initial)
+    return bits
+
+
 def _image_tables(a: Dfa, dtype: type) -> tuple[np.ndarray, int]:
     """Per-letter lookup tables for the star's subset images, and the chunk width.
 
     A mask of a's states is read in chunks of width bits; tables[c, v, j] is
     the image under letter j of the states that the chunk value v stands
-    for in chunk c, with the seed rule: the bit of a final state carries the
-    initial state's, so an image holds the initial state when it meets the
-    finals. Each chunk costs one gather per image entry, and each table
-    entry one step to build, so the mask is read in two halves of ceil(n / 2)
-    bits, or, where those tables do not fit in TABLE_ENTRIES, in the fewest
-    chunks of equal width whose tables do (one bit wide when none do). One
-    table of all n bits would take 2^n rows, more than most searches ever
-    gather from. Images are held as dtype.
+    for in chunk c, with the seed rule of _seeded_bits. Each chunk costs one
+    gather per image entry, and each table entry one step to build, so the
+    mask is read in two halves of ceil(n / 2) bits, or, where those tables
+    do not fit in TABLE_ENTRIES, in the fewest chunks of equal width whose
+    tables do (one bit wide when none do). One table of all n bits would
+    take 2^n rows, more than most searches ever gather from. Images are held
+    as dtype.
     """
     n, letters = a.state_count, a.letter_count
     width = next(
@@ -77,10 +93,8 @@ def _image_tables(a: Dfa, dtype: type) -> tuple[np.ndarray, int]:
         if w == 1 or -(-n // w) * letters << w <= TABLE_ENTRIES
     )
     chunks = -(-n // width)
-    state_bits = np.left_shift(dtype(1), np.arange(n, dtype=dtype))
-    state_bits[a.finals] |= dtype(1 << a.initial)
     bits = np.zeros((chunks * width, letters), dtype=dtype)
-    bits[:n] = state_bits[a.delta]
+    bits[:n] = _seeded_bits(a, dtype)[a.delta]
     tables = np.zeros((chunks, 1 << width, letters), dtype=dtype)
     for b in range(width):
         low = 1 << b
@@ -103,14 +117,9 @@ def _star_images(a: Dfa, dtype: type) -> tuple[Callable[..., np.ndarray], int]:
     image that meets a's finals. Masks and images are held as dtype.
     LimitExceeded is raised if a has more than MAX_OPERAND_STATES states.
     """
-    n = a.state_count
-    if n > MAX_OPERAND_STATES:
-        raise LimitExceeded(
-            f"{n} operand states exceed the limit of {MAX_OPERAND_STATES} for int64 subset masks"
-        )
+    tables, width = _image_tables(a, dtype)
     fmask = dtype(sum(1 << q for q in a.finals.tolist()))
     ibit = dtype(1 << a.initial)
-    tables, width = _image_tables(a, dtype)
     chunk = dtype((1 << width) - 1)
 
     def images(masks: np.ndarray, letters: slice = slice(None)) -> np.ndarray:
@@ -322,12 +331,19 @@ def stx(
     return star_modifier(xor_modifier(a, b), cap_states=cap_states, normalize=normalize)
 
 
-def saturation_premises_hold(product: Dfa, n1: int, n2: int) -> bool:
+def saturation_premises_hold(
+    product: Dfa,
+    n1: int,
+    n2: int,
+    normalize: Callable[[np.ndarray], np.ndarray],
+) -> bool:
     """Does saturation commute with the star's step on product, exactly?
 
     product is an automaton on the n1 x n2 grid, state x*n2+y the cell
     (x, y), such as xor_modifier(a, b); step is star_modifier's step on it,
-    the seed rule included, and sat is saturate_masks. For every right
+    the seed rule included, and sat is normalize, which must saturate a 1-D
+    array of the grid's masks: saturate_masks, or a lookup in
+    saturation_table, as measure_stx passes to stx. For every right
     triangle t = {(x, y), (x, y'), (x', y)}, x != x' and y != y', with
     fourth corner c = (x', y'), it checks that
       (P1) on every letter, step({c}) lies in sat(step(t)), and
@@ -344,29 +360,36 @@ def saturation_premises_hold(product: Dfa, n1: int, n2: int) -> bool:
     for every T, reachable or not.
 
     The check is exhaustive, a block of letters at a time (block_rows), so
-    that its images never outgrow one frontier block. LimitExceeded is
-    raised as star_modifier raises it for more than MAX_OPERAND_STATES
+    that its images never outgrow one frontier block. Since step preserves
+    unions on nonempty sets, step(t) is the union of its three cells'
+    steps, each read from product's delta with the seed rule folded into
+    the cell's bit (_seeded_bits); no image tables are built. LimitExceeded
+    is raised as star_modifier raises it for more than MAX_OPERAND_STATES
     cells.
     """
     n = n1 * n2
     if product.state_count != n:
         raise ValueError(f"a {n1} x {n2} grid has {n} cells, not {product.state_count}")
-    dtype = _mask_dtype(n)
-    images, fmask = _star_images(product, dtype)
+    cell_bits = _seeded_bits(product, _mask_dtype(n))
     rows, cols = np.arange(n1), np.arange(n2)
     x, x2, y, y2 = (g.reshape(-1) for g in np.meshgrid(rows, rows, cols, cols, indexing="ij"))
     keep = (x != x2) & (y != y2)
     x, x2, y, y2 = x[keep], x2[keep], y[keep], y2[keep]
-    bit = np.left_shift(dtype(1), np.arange(n, dtype=dtype))
-    triangles = bit[x * n2 + y] | bit[x * n2 + y2] | bit[x2 * n2 + y]
-    corners = bit[x2 * n2 + y2]
+    triangles = (x * n2 + y, x * n2 + y2, x2 * n2 + y)
+    corners = x2 * n2 + y2
     # (P2), then (P1) a block of letters at a time
-    if (((corners & fmask) != 0) & ((triangles & fmask) == 0)).any():
+    final = np.zeros(n, dtype=bool)
+    final[product.finals] = True
+    if (final[corners] & ~(final[triangles[0]] | final[triangles[1]] | final[triangles[2]])).any():
         return False
     step = block_rows(len(corners))
     for lo in range(0, product.letter_count, step):
-        letters = slice(lo, lo + step)
-        sat = saturate_masks(images(triangles, letters).reshape(-1), n1, n2)
-        if (images(corners, letters).reshape(-1) & ~sat).any():
+        # steps[q, j] is step({q}) on letter lo + j
+        steps = np.take(cell_bits, product.delta[:, lo:lo + step])
+        images = np.take(steps, triangles[0], axis=0)
+        images |= np.take(steps, triangles[1], axis=0)
+        images |= np.take(steps, triangles[2], axis=0)
+        sat = normalize(images.reshape(-1))
+        if (np.take(steps, corners, axis=0).reshape(-1) & ~sat).any():
             return False
     return True

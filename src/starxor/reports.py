@@ -11,9 +11,11 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-from .automata import Dfa, nerode_partition
+import numpy as np
+
+from .automata import BLOCK_ENTRIES, Dfa, nerode_partition
 from .modifiers import saturation_premises_hold, stx, xor_modifier
-from .tableaux import predicted_complexity, saturate_masks
+from .tableaux import predicted_complexity, saturate_masks, saturation_table
 from .transforms import LimitExceeded
 
 VERDICTS = ("pass", "fail", "skipped")
@@ -68,6 +70,22 @@ class ExperimentReport:
         return " ".join(str(b) for b in bits)
 
 
+def saturation_normalizer(n1: int, n2: int, letter_count: int) -> Callable[[np.ndarray], np.ndarray]:
+    """The saturation measure_stx passes to stx and saturation_premises_hold.
+
+    A lookup in saturation_table(n1, n2) when the premise check alone would
+    hand the kernel at least as many masks as the table holds, the
+    n1(n1 - 1) n2(n2 - 1) right triangles' images under every letter, and
+    the table fits in one frontier block (BLOCK_ENTRIES); saturate_masks on
+    each block otherwise. Both give the same masks, so the choice changes
+    no table, only the time it takes.
+    """
+    masks = 1 << (n1 * n2)
+    if n1 * (n1 - 1) * n2 * (n2 - 1) * letter_count >= masks and masks <= BLOCK_ENTRIES:
+        return saturation_table(n1, n2).take
+    return functools.partial(saturate_masks, n1=n1, n2=n2)
+
+
 def measure_stx(
     build_pair: Callable[[], tuple[Dfa, Dfa]],
     cap_states: int,
@@ -81,22 +99,23 @@ def measure_stx(
 
     The size is that of the saturation quotient, built directly: stx runs
     its breadth-first search over saturated masks only (normalize=
-    saturate_masks), so cap_states bounds the quotient's states. That size
-    is returned only once this run's operands pass the exact check of the
-    saturation lemma's premises (saturation_premises_hold), which makes
-    the quotient accept the same language as the full subset table, so it
-    never rests on the lemma, only on the check. When the check fails, the
-    full table is built instead. The check runs after the build, so a run
-    that a cap cuts short never pays for it. Every state of either table is
-    reachable, so its count of language classes (nerode_partition) is the
-    minimal size; no quotient is built.
+    saturation_normalizer(...), one saturation per construction), so
+    cap_states bounds the quotient's states. That size is returned only
+    once this run's operands pass the exact check of the saturation lemma's
+    premises (saturation_premises_hold, with the same saturation), which
+    makes the quotient accept the same language as the full subset table,
+    so it never rests on the lemma, only on the check. When the check
+    fails, the full table is built instead. The check runs after the build,
+    so a run that a cap cuts short never pays for it. Every state of either
+    table is reachable, so its count of language classes (nerode_partition)
+    is the minimal size; no quotient is built.
     """
     try:
         first, second = build_pair()
         n1, n2 = first.state_count, second.state_count
-        saturate = functools.partial(saturate_masks, n1=n1, n2=n2)
+        saturate = saturation_normalizer(n1, n2, first.letter_count)
         built = stx(first, second, cap_states=cap_states, normalize=saturate)
-        sound = saturation_premises_hold(xor_modifier(first, second), n1, n2)
+        sound = saturation_premises_hold(xor_modifier(first, second), n1, n2, saturate)
         if not sound:
             del built
             built = stx(first, second, cap_states=cap_states)

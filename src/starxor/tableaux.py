@@ -1,9 +1,10 @@
 """Final zones, closed-form counts of right-triangle-free tableaux, and saturation.
 
 A tableau is a subset of the n1 x n2 grid, held as a row-major int mask
-(cell_bit), as in a SubsetDfa's state_masks. Saturation (saturate_masks)
-is part of the measurement path: measure_stx has stx search over saturated
-masks only, and saturation_premises_hold checks that this is sound. The
+(cell_bit), as in a SubsetDfa's state_masks. Saturation (saturate_masks,
+or on small grids a lookup in saturation_table) is part of the measurement
+path: measure_stx has stx search over saturated masks only, and
+saturation_premises_hold checks that this is sound. The
 tableau predicates and a pairwise-union saturation are test oracles in
 tests/helpers.py.
 """
@@ -184,3 +185,12 @@ def saturate_masks(masks: np.ndarray, n1: int, n2: int) -> np.ndarray:
             block <<= x * n2
             sat |= block
     return out
+
+
+def saturation_table(n1: int, n2: int) -> np.ndarray:
+    """saturate_masks over every mask of the n1 x n2 grid, indexed by mask.
+
+    table.take(masks) then saturates any array of masks by one gather.
+    There are 2^(n1*n2) masks, so this pays only on small grids.
+    """
+    return saturate_masks(np.arange(1 << (n1 * n2)), n1, n2)

@@ -27,8 +27,10 @@ from starxor import (
     preimage_by_renaming,
     stx,
 )
-from starxor.automata import _class_quotient, _is_stable, unique_first
+from starxor import modifiers
+from starxor.automata import _class_quotient, _is_stable, block_rows, unique_first
 from starxor.reports import verdict
+from starxor.tableaux import saturate_masks
 from starxor.transforms import transformation_count
 
 
@@ -508,6 +510,35 @@ def quotient_by_keys(a: Dfa, keys: np.ndarray) -> Dfa | None:
     if not _is_stable(a, final, class_of, reps):
         return None
     return _class_quotient(a, class_of, reps)
+
+
+def premises_by_image_tables(product: Dfa, n1: int, n2: int) -> bool:
+    """saturation_premises_hold as it was first written, through the star's image tables.
+
+    The oracle for the direct check, which ORs the three cells' steps read
+    from delta: here each triangle's and corner's step comes from the
+    chunked per-letter subset-image tables that star_modifier searches with
+    (modifiers._star_images), and every image goes through saturate_masks.
+    """
+    n = n1 * n2
+    dtype = modifiers._mask_dtype(n)
+    images, fmask = modifiers._star_images(product, dtype)
+    rows, cols = np.arange(n1), np.arange(n2)
+    x, x2, y, y2 = (g.reshape(-1) for g in np.meshgrid(rows, rows, cols, cols, indexing="ij"))
+    keep = (x != x2) & (y != y2)
+    x, x2, y, y2 = x[keep], x2[keep], y[keep], y2[keep]
+    bit = np.left_shift(dtype(1), np.arange(n, dtype=dtype))
+    triangles = bit[x * n2 + y] | bit[x * n2 + y2] | bit[x2 * n2 + y]
+    corners = bit[x2 * n2 + y2]
+    if (((corners & fmask) != 0) & ((triangles & fmask) == 0)).any():
+        return False
+    step = block_rows(len(corners))
+    for lo in range(0, product.letter_count, step):
+        letters = slice(lo, lo + step)
+        sat = saturate_masks(images(triangles, letters).reshape(-1), n1, n2)
+        if (images(corners, letters).reshape(-1) & ~sat).any():
+            return False
+    return True
 
 
 def sweep_rows_exhaustive(

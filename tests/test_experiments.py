@@ -6,7 +6,16 @@ import itertools
 import pytest
 
 import helpers
-from starxor import MonsterSpec, count_constrained, experiments, final_zone, modifiers, monster2
+from starxor import (
+    MonsterSpec,
+    count_constrained,
+    experiments,
+    final_zone,
+    modifiers,
+    monster2,
+    reports,
+    stx,
+)
 from starxor.experiments import full_monster_report, orbit_key, sweep_reports
 from starxor.reports import measure_stx, verdict
 
@@ -103,21 +112,45 @@ def test_orbit_sweep_skips_whole_orbits_at_a_cap():
 
 @pytest.mark.parametrize(
     "n1, n2, caps, constructions",
-    [(3, 3, {}, 12), (4, 3, {"cap_letters": 10}, 24)],
+    [(3, 3, {}, 12), (4, 3, {"cap_letters": 10}, 0)],
 )
 def test_sweep_builds_one_construction_per_orbit(monkeypatch, n1, n2, caps, constructions):
-    calls = []
+    # one alphabet per sweep, and one subset construction per orbit; a
+    # letter cap fires once, and no construction runs
+    alphabets, built = [], []
 
-    def counted(*args, **kwargs):
-        calls.append(args)
+    def counted_monster2(*args, **kwargs):
+        alphabets.append(args)
         return monster2(*args, **kwargs)
 
-    monkeypatch.setattr(experiments, "monster2", counted)
+    def counted_stx(*args, **kwargs):
+        built.append(args)
+        return stx(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "monster2", counted_monster2)
+    monkeypatch.setattr(reports, "stx", counted_stx)
     rows, _ = sweep_reports(n1, n2, **caps)
-    assert len(calls) == constructions
+    assert len(alphabets) == 1
+    assert len(built) == constructions
     assert len(rows) == 2 ** (n1 + n2)
     if caps:
         assert all(row["verdict"] == "skipped" for row in rows)
+
+
+def test_sweep_counts_one_prediction_per_orbit(monkeypatch):
+    # 12 orbits at (3,3) for 64 rows; each row still carries its zone's count
+    zones = []
+
+    def counted(z):
+        zones.append(z)
+        return count_constrained(z)
+
+    monkeypatch.setattr(experiments, "count_constrained", counted)
+    rows, _ = sweep_reports(3, 3)
+    assert len(zones) == 12
+    assert [row["predicted"] for row in rows] == [
+        count_constrained(final_zone(3, 3, row["F1"], row["F2"])) for row in rows
+    ]
 
 
 @pytest.mark.parametrize("n, orbits", [(1, 2), (2, 6), (3, 12), (4, 20)])

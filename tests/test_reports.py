@@ -4,7 +4,10 @@ Each test compares the route against Nerode refinement over the whole subset
 table (helpers.full_table_size or minimize(stx(...))), which shares no step
 with the quotient, or the premise check (saturation_premises_hold) against
 the whole-table congruence check (helpers.quotient_by_keys), which is local
-to no triangle.
+to no triangle, and against the check through the star's image tables
+(helpers.premises_by_image_tables). Saturation is the kernel
+(saturate_masks) or a lookup in saturation_table, as measure_stx picks
+(saturation_normalizer); the two give the same tables.
 """
 
 import functools
@@ -24,10 +27,10 @@ from starxor import (
     witness_pair,
     xor_modifier,
 )
-from starxor import automata, modifiers, reports
+from starxor import automata, reports
 from starxor.modifiers import saturation_premises_hold
-from starxor.reports import measure_stx
-from starxor.tableaux import saturate_masks
+from starxor.reports import measure_stx, saturation_normalizer
+from starxor.tableaux import saturate_masks, saturation_table
 
 WITNESS_SIZES = [(2, 2), (2, 3), (3, 2), (3, 3), (4, 3), (3, 4), (4, 4), (5, 4), (2, 8)]
 FULL_TABLE_NOTE = "the saturation premises do not hold; minimized the full table"
@@ -35,11 +38,24 @@ FULL_TABLE_NOTE = "the saturation premises do not hold; minimized the full table
 ZONES = {"xor": np.not_equal, "union": np.logical_or, "intersection": np.logical_and}
 
 
+def kernel(n1, n2):
+    return functools.partial(saturate_masks, n1=n1, n2=n2)
+
+
+def premises(product, n1, n2):
+    # the direct check with the kernel and with the table, and the check
+    # through the star's image tables, give one verdict
+    verdict = saturation_premises_hold(product, n1, n2, kernel(n1, n2))
+    assert saturation_premises_hold(product, n1, n2, saturation_table(n1, n2).take) == verdict
+    assert helpers.premises_by_image_tables(product, n1, n2) == verdict
+    return verdict
+
+
 def direct_quotient(pair):
     first, second = pair
     n1, n2 = first.state_count, second.state_count
-    assert saturation_premises_hold(xor_modifier(first, second), n1, n2)
-    return stx(first, second, normalize=functools.partial(saturate_masks, n1=n1, n2=n2))
+    assert premises(xor_modifier(first, second), n1, n2)
+    return stx(first, second, normalize=kernel(n1, n2))
 
 
 def keyed_quotient(s, n1, n2):
@@ -66,7 +82,7 @@ def test_saturation_is_a_congruence_on_every_tableau(n1, n2):
             a, b = monster2(MonsterSpec.pair(n1, n2, f1, f2))
             whole = star_modifier(xor_modifier(a, b), full=True)
             assert keyed_quotient(whole, n1, n2) is not None, (f1, f2)
-            assert saturation_premises_hold(xor_modifier(a, b), n1, n2), (f1, f2)
+            assert premises(xor_modifier(a, b), n1, n2), (f1, f2)
 
 
 @pytest.mark.parametrize("n1, n2", [(2, 2), (2, 3), (3, 2)])
@@ -79,7 +95,7 @@ def test_the_premise_check_refuses_exactly_where_the_whole_table_check_does(n1, 
         for f2 in helpers.final_sets(n2):
             for name, zone in ZONES.items():
                 product = rezoned_product(n1, n2, f1, f2, zone)
-                holds = saturation_premises_hold(product, n1, n2)
+                holds = premises(product, n1, n2)
                 whole = keyed_quotient(star_modifier(product, full=True), n1, n2)
                 assert holds == (whole is not None), (f1, f2, name)
                 seen[name].add(holds)
@@ -89,7 +105,7 @@ def test_the_premise_check_refuses_exactly_where_the_whole_table_check_does(n1, 
 @pytest.mark.parametrize("n1, n2", [(2, 2), (3, 3), (4, 3)])
 def test_the_check_accepts_the_union_zone_and_refuses_the_intersection(n1, n2):
     verdicts = {
-        name: saturation_premises_hold(rezoned_product(n1, n2, (n1 - 1,), (0,), zone), n1, n2)
+        name: premises(rezoned_product(n1, n2, (n1 - 1,), (0,), zone), n1, n2)
         for name, zone in ZONES.items()
     }
     assert verdicts == {"xor": True, "union": True, "intersection": False}
@@ -105,18 +121,43 @@ def test_the_check_goes_a_block_of_letters_at_a_time(monkeypatch):
         sizes.append(len(masks))
         return saturate_masks(masks, n1, n2)
 
-    monkeypatch.setattr(modifiers, "saturate_masks", spy)
     monkeypatch.setattr(automata, "BLOCK_ENTRIES", 1000)
     for name, zone in ZONES.items():
         product = rezoned_product(4, 3, (3,), (0,), zone)
-        assert saturation_premises_hold(product, 4, 3) == (name != "intersection")
+        normalize = functools.partial(spy, n1=4, n2=3)
+        assert saturation_premises_hold(product, 4, 3, normalize) == (name != "intersection")
     assert max(sizes) == 72 * 13
     assert sum(sizes) == 2 * 72 * 6912
 
 
+@pytest.mark.parametrize("n1, n2", [(2, 2), (2, 3), (3, 2), (3, 3), (4, 3), (2, 5)])
+def test_the_direct_check_gives_the_image_table_verdict_on_random_grid_automata(n1, n2):
+    # xor products of random operands always pass; with random finals, or
+    # one transition redirected, they pass or fail
+    rng = np.random.default_rng(10 * n1 + n2)
+    n = n1 * n2
+
+    def operand(size, letters):
+        finals = np.flatnonzero(rng.random(size) < 0.5)
+        return Dfa(letters, size, int(rng.integers(size)), finals, rng.integers(0, size, (size, letters)))
+
+    seen = set()
+    for _ in range(40):
+        letters = int(rng.integers(1, 6))
+        product = xor_modifier(operand(n1, letters), operand(n2, letters))
+        assert premises(product, n1, n2)
+        finals = np.flatnonzero(rng.random(n) < rng.random())
+        rezoned = Dfa(letters, n, product.initial, finals, product.delta)
+        delta = product.delta.copy()
+        delta[rng.integers(n), rng.integers(letters)] = rng.integers(n)
+        redirected = Dfa(letters, n, product.initial, product.finals, delta)
+        seen |= {premises(rezoned, n1, n2), premises(redirected, n1, n2)}
+    assert seen == {False, True}
+
+
 def test_the_check_needs_a_grid_of_the_product_size():
     with pytest.raises(ValueError, match="a 2 x 3 grid has 6 cells, not 9"):
-        saturation_premises_hold(xor_modifier(*witness_pair(3, 3)), 2, 3)
+        saturation_premises_hold(xor_modifier(*witness_pair(3, 3)), 2, 3, kernel(2, 3))
 
 
 @pytest.mark.parametrize("n1, n2", WITNESS_SIZES)
@@ -159,8 +200,8 @@ def test_a_partition_that_is_not_a_congruence_leaves_the_full_table(monkeypatch)
     pair = monster2(MonsterSpec.pair(3, 3, {2}, {0}))
     checked, built = [], []
 
-    def refuse(product, n1, n2):
-        checked.append(saturation_premises_hold(product, n1, n2))
+    def refuse(product, n1, n2, normalize):
+        checked.append(saturation_premises_hold(product, n1, n2, normalize))
         return False
 
     def spy(*args, **kwargs):
@@ -181,8 +222,8 @@ def test_a_partition_that_is_not_a_congruence_leaves_the_full_table(monkeypatch)
 def test_wide_and_tall_witnesses_take_the_checked_quotient(monkeypatch, n1, n2, size):
     checked, built = [], []
 
-    def check(product, n1, n2):
-        checked.append(saturation_premises_hold(product, n1, n2))
+    def check(product, n1, n2, normalize):
+        checked.append(saturation_premises_hold(product, n1, n2, normalize))
         return checked[-1]
 
     def spy(*args, **kwargs):
@@ -218,3 +259,78 @@ def test_measure_stx_minimizes_the_quotient_not_the_table(monkeypatch):
     monkeypatch.setattr(automata, "accessible_part", unused)
     assert measure_stx(lambda: witness_pair(4, 3), 2**22) == (212, "")
     assert sizes == [213]
+
+
+@pytest.mark.parametrize(
+    "pair",
+    [monster2(MonsterSpec.pair(3, 3, {2}, {0})), witness_pair(3, 3)],
+    ids=["monster (3,3)", "witness (3,3)"],
+)
+def test_the_table_and_the_kernel_build_the_same_quotient(pair):
+    a, b = pair
+    by_table = stx(a, b, normalize=saturation_table(3, 3).take)
+    by_kernel = stx(a, b, normalize=kernel(3, 3))
+    for name in ("delta", "finals", "state_masks"):
+        left, right = getattr(by_table, name), getattr(by_kernel, name)
+        assert left.dtype == right.dtype and left.tobytes() == right.tobytes(), name
+
+
+@pytest.mark.parametrize(
+    "build, tables",
+    [
+        # 240 triangles x 17 letters = 4,080 images, fewer than 2^20 masks
+        (lambda: witness_pair(5, 4), []),
+        # 36 triangles x 729 letters = 26,244 images, against 2^9 masks
+        (lambda: monster2(MonsterSpec.pair(3, 3, {2}, {0})), [(3, 3)]),
+        # 36 x 17 = 612 images, against 2^9 masks
+        (lambda: witness_pair(3, 3), [(3, 3)]),
+    ],
+    ids=["witness (5,4)", "monster (3,3)", "witness (3,3)"],
+)
+def test_measure_stx_builds_the_table_only_where_the_check_would_saturate_as_many_masks(
+    monkeypatch, build, tables
+):
+    built, handed = [], []
+    table = reports.saturation_table
+
+    def spy_table(n1, n2):
+        built.append((n1, n2))
+        return table(n1, n2)
+
+    def spy_check(product, n1, n2, normalize):
+        handed.append(normalize)
+        return saturation_premises_hold(product, n1, n2, normalize)
+
+    def spy_stx(*args, **kwargs):
+        handed.append(kwargs["normalize"])
+        return stx(*args, **kwargs)
+
+    monkeypatch.setattr(reports, "saturation_table", spy_table)
+    monkeypatch.setattr(reports, "saturation_premises_hold", spy_check)
+    monkeypatch.setattr(reports, "stx", spy_stx)
+    size, note = measure_stx(build, 2**22)
+    assert (size, note) == (helpers.full_table_size(build, 2**22), "")
+    assert built == tables
+    # one saturation, passed to both the build and the check
+    assert len(handed) == 2 and handed[0] is handed[1]
+    assert isinstance(handed[0], functools.partial) == (not tables)
+
+
+@pytest.mark.parametrize(
+    "n1, n2, letters, table",
+    [
+        (3, 3, 14, False),  # 504 images < 512 masks
+        (3, 3, 15, True),  # 540 images
+        (4, 4, 455, False),  # 65,520 images < 65,536 masks
+        (4, 4, 456, True),
+        (5, 4, 10**6, True),  # 2^20 masks fit one block
+        (5, 5, 10**9, False),  # 2^25 masks do not
+        (2, 1, 10**6, False),  # no right triangles
+    ],
+)
+def test_the_table_pays_where_the_check_alone_saturates_as_many_masks(
+    monkeypatch, n1, n2, letters, table
+):
+    monkeypatch.setattr(reports, "saturation_table", lambda n1, n2: np.zeros(1 << n1 * n2))
+    normalize = saturation_normalizer(n1, n2, letters)
+    assert isinstance(normalize, functools.partial) != table

@@ -29,7 +29,7 @@ from starxor import (
     xor_modifier,
 )
 from starxor.automata import BLOCK_ENTRIES, block_rows
-from starxor.tableaux import _count_profile, cell_bit, saturate_masks
+from starxor.tableaux import _count_profile, cell_bit, saturate_masks, saturation_table
 
 
 def cells_mask(n2, cells):
@@ -127,6 +127,11 @@ def test_saturate_masks_matches_the_pairwise_union_on_every_mask(n1, n2):
     got = saturate_masks(masks, n1, n2)
     assert got.dtype == np.int32
     assert got.tolist() == [saturate_mask(mask, n1, n2) for mask in range(len(masks))]
+    # the lookup table is the same saturation, indexed by mask
+    table = saturation_table(n1, n2)
+    assert table.dtype == np.int32
+    assert table.tolist() == got.tolist()
+    assert np.array_equal(table.take(masks[::-1]), got[::-1])
 
 
 @pytest.mark.parametrize(
