@@ -6,22 +6,25 @@ Builds each shape's operands --repeat times and prints the fastest build
 in ms with a digest of both operands' `delta` and `finals`. Then it times
 the steps `measure_stx` takes, each --repeat times, fastest call in ms:
 picking the saturation (`reports.saturation_normalizer`, which builds
-the lookup table of every grid mask where that pays), with the one it
-picked, `table` or `kernel` (`saturate_masks`);
-`saturation_premises_hold` on the operands' xor product with that
-saturation, the exact check of the saturation lemma's premises, with its
-verdict; the direct build of the saturation quotient, `stx(...,
-normalize=that saturation)`, with a digest of its `delta` and
-`state_masks` and its state and letter counts; and `nerode_partition` of
-that quotient, whose class count is the size `measure_stx` reports, with
-its rounds, its class count and a digest of `class_of`. Equal digests mean
-equal operands, quotient tables and partitions, so two source trees can be
-compared kernel for kernel: --src imports `starxor` from another tree's
-`src` directory (default: this one's). A tree without
-`saturation_normalizer` saturates with the kernel, and its check takes no
-saturation. Where a tree has no premise check, or its check refuses, the
-check columns print `-` or `no` and the build is the full subset table,
-which `nerode_partition` then runs on, as `measure_stx` does.
+the lookup table of every grid mask on small grids; its per-process
+cache is cleared before each call, so the build is timed), with the one
+it picked, `table` or `kernel` (`saturate_masks`);
+`saturation_premises_hold` on the operands' xor product, the exact check
+of the saturation lemma's premises, with its verdict; the direct build of
+the saturation quotient, `stx(..., normalize=that saturation)`, with a
+digest of its `delta` and `state_masks` and its state and letter counts;
+and `nerode_partition` of that quotient, whose class count is the size
+`measure_stx` reports, with its rounds, its class count and a digest of
+`class_of`. Equal digests mean equal operands, quotient tables and
+partitions, so two source trees can be compared kernel for kernel: --src
+imports `starxor` from another tree's `src` directory (default: this
+one's). Older trees differ in three ways, read off their signatures: a
+tree without `saturation_normalizer` saturates with the kernel; a
+normalizer that takes a letter count gets the operands'; and a check that
+takes a saturation gets the one picked. Where a tree has no premise
+check, or its check refuses, the check columns print `-` or `no` and the
+build is the full subset table, which `nerode_partition` then runs on, as
+`measure_stx` does.
 
 The shapes: the witness at (5,4), the witness-deep benchmark's operands,
 at (4,4) and at (2,8), a grid eight columns wide; the (3,3) monster of two
@@ -35,6 +38,7 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
+import inspect
 import sys
 import time
 from pathlib import Path
@@ -64,6 +68,11 @@ def main(argv: list[str] | None = None) -> int:
 
     check_premises = getattr(modifiers, "saturation_premises_hold", None)
     pick = getattr(reports, "saturation_normalizer", None)
+    # older trees: a check that takes the saturation, a pick by letter count
+    check_takes_saturation = check_premises is not None and (
+        len(inspect.signature(check_premises).parameters) > 3
+    )
+    pick_takes_letters = pick is not None and len(inspect.signature(pick).parameters) > 2
     shapes = [
         ("witness (5,4)", lambda: witness_pair(5, 4)),
         ("witness (4,4)", lambda: witness_pair(4, 4)),
@@ -99,10 +108,14 @@ def main(argv: list[str] | None = None) -> int:
         product = xor_modifier(first, second)
         if pick is None:
             saturate, pick_best = functools.partial(saturate_masks, n1=n1, n2=n2), None
-            check = lambda: check_premises(product, n1, n2)
         else:
-            saturate, pick_best = fastest(lambda: pick(n1, n2, first.letter_count))
+            grid = (n1, n2, first.letter_count) if pick_takes_letters else (n1, n2)
+            clear = getattr(pick, "cache_clear", lambda: None)
+            saturate, pick_best = fastest(lambda: clear() or pick(*grid))
+        if check_takes_saturation:
             check = lambda: check_premises(product, n1, n2, saturate)
+        else:
+            check = lambda: check_premises(product, n1, n2)
         route = "kernel" if isinstance(saturate, functools.partial) else "table"
         holds, check_best = False, None
         if check_premises is not None:

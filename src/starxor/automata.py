@@ -410,20 +410,25 @@ def _class_quotient(a: Dfa, class_of: np.ndarray, reps: np.ndarray) -> Dfa:
 
 
 def is_equivalent(a: Dfa, b: Dfa) -> bool:
-    """Language equality over a shared alphabet: equal canonical minimal DFAs.
+    """Language equality over a shared alphabet: one Nerode partition of both.
 
-    minimize numbers the classes in breadth-first order from the initial
-    state, letters in index order, so two DFAs accept the same language
-    exactly when their minimized tables and finals are equal.
+    The disjoint union holds a's states, then b's shifted by a.state_count.
+    nerode_partition classes every state of it by the language it accepts,
+    reachable or not, so a and b accept the same language exactly when
+    their initial states share a class.
     """
     if a.letter_count != b.letter_count:
         raise ValueError("language comparison needs a common alphabet")
-    ma, mb = minimize(a), minimize(b)
-    return (
-        ma.state_count == mb.state_count
-        and np.array_equal(ma.finals, mb.finals)
-        and np.array_equal(ma.delta, mb.delta)
+    shift = a.state_count
+    union = Dfa(
+        a.letter_count,
+        shift + b.state_count,
+        a.initial,
+        np.concatenate([a.finals, b.finals + shift]),
+        np.concatenate([a.delta, b.delta + shift]),
     )
+    class_of = nerode_partition(union).class_of
+    return bool(class_of[a.initial] == class_of[shift + b.initial])
 
 
 def preimage_by_renaming(a: Dfa, phi: Sequence[int]) -> Dfa:

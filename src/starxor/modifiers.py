@@ -56,45 +56,36 @@ class SubsetDfa(Dfa):
     __hash__ = Dfa.__hash__
 
 
-def _seeded_bits(a: Dfa, dtype: type) -> np.ndarray:
-    """bits[q] is the mask of state q, with the star's seed rule folded in.
-
-    The bit of a final state carries the initial state's, so the union of
-    bits[f(q)] over a nonempty set E is the star's step on E: f(E), with the
-    initial state joined when f(E) meets the finals. LimitExceeded is raised
-    if a has more than MAX_OPERAND_STATES states.
-    """
-    n = a.state_count
-    if n > MAX_OPERAND_STATES:
-        raise LimitExceeded(
-            f"{n} operand states exceed the limit of {MAX_OPERAND_STATES} for int64 subset masks"
-        )
-    bits = np.left_shift(dtype(1), np.arange(n, dtype=dtype))
-    bits[a.finals] |= dtype(1 << a.initial)
-    return bits
-
-
 def _image_tables(a: Dfa, dtype: type) -> tuple[np.ndarray, int]:
     """Per-letter lookup tables for the star's subset images, and the chunk width.
 
     A mask of a's states is read in chunks of width bits; tables[c, v, j] is
     the image under letter j of the states that the chunk value v stands
-    for in chunk c, with the seed rule of _seeded_bits. Each chunk costs one
-    gather per image entry, and each table entry one step to build, so the
-    mask is read in two halves of ceil(n / 2) bits, or, where those tables
-    do not fit in TABLE_ENTRIES, in the fewest chunks of equal width whose
-    tables do (one bit wide when none do). One table of all n bits would
-    take 2^n rows, more than most searches ever gather from. Images are held
-    as dtype.
+    for in chunk c, with the star's seed rule folded in: the bit of a final
+    state carries the initial state's, so the union of the bits of f(E) is
+    f(E), with the initial state joined when f(E) meets the finals. Each
+    chunk costs one gather per image entry, and each table entry one step
+    to build, so the mask is read in two halves of ceil(n / 2) bits, or,
+    where those tables do not fit in TABLE_ENTRIES, in the fewest chunks of
+    equal width whose tables do (one bit wide when none do). One table of
+    all n bits would take 2^n rows, more than most searches ever gather
+    from. Images are held as dtype. LimitExceeded is raised if a has more
+    than MAX_OPERAND_STATES states.
     """
     n, letters = a.state_count, a.letter_count
+    if n > MAX_OPERAND_STATES:
+        raise LimitExceeded(
+            f"{n} operand states exceed the limit of {MAX_OPERAND_STATES} for int64 subset masks"
+        )
     width = next(
         w for w in (-(-n // c) for c in range(2, n + 2))
         if w == 1 or -(-n // w) * letters << w <= TABLE_ENTRIES
     )
     chunks = -(-n // width)
+    seeded = np.left_shift(dtype(1), np.arange(n, dtype=dtype))
+    seeded[a.finals] |= dtype(1 << a.initial)
     bits = np.zeros((chunks * width, letters), dtype=dtype)
-    bits[:n] = _seeded_bits(a, dtype)[a.delta]
+    bits[:n] = seeded[a.delta]
     tables = np.zeros((chunks, 1 << width, letters), dtype=dtype)
     for b in range(width):
         low = 1 << b
@@ -331,21 +322,14 @@ def stx(
     return star_modifier(xor_modifier(a, b), cap_states=cap_states, normalize=normalize)
 
 
-def saturation_premises_hold(
-    product: Dfa,
-    n1: int,
-    n2: int,
-    normalize: Callable[[np.ndarray], np.ndarray],
-) -> bool:
+def saturation_premises_hold(product: Dfa, n1: int, n2: int) -> bool:
     """Does saturation commute with the star's step on product, exactly?
 
     product is an automaton on the n1 x n2 grid, state x*n2+y the cell
     (x, y), such as xor_modifier(a, b); step is star_modifier's step on it,
-    the seed rule included, and sat is normalize, which must saturate a 1-D
-    array of the grid's masks: saturate_masks, or a lookup in
-    saturation_table, as measure_stx passes to stx. For every right
-    triangle t = {(x, y), (x, y'), (x', y)}, x != x' and y != y', with
-    fourth corner c = (x', y'), it checks that
+    the seed rule included, and sat is saturation (saturate_masks). For
+    every right triangle t = {(x, y), (x, y'), (x', y)}, x != x' and
+    y != y', with fourth corner c = (x', y'), the saturation lemma needs
       (P1) on every letter, step({c}) lies in sat(step(t)), and
       (P2) c is final only if t meets the finals.
 
@@ -359,37 +343,35 @@ def saturation_premises_hold(
     sat(step(sat T)) = sat(step T) and sat(T) is final exactly when T is,
     for every T, reachable or not.
 
-    The check is exhaustive, a block of letters at a time (block_rows), so
-    that its images never outgrow one frontier block. Since step preserves
-    unions on nonempty sets, step(t) is the union of its three cells'
-    steps, each read from product's delta with the seed rule folded into
-    the cell's bit (_seeded_bits); no image tables are built. LimitExceeded
-    is raised as star_modifier raises it for more than MAX_OPERAND_STATES
-    cells.
+    The check reads both off the grid, with no letter loop and no
+    saturation. It holds exactly when
+      (a) product acts coordinatewise: every letter maps each cell (x, y)
+          to (f(x), g(y)) for a pair of maps f of the rows and g of the
+          columns, and
+      (b) (P2) holds.
+    (a) and (b) give (P1) on every letter. Write f(x, y) for (f(x), g(y)).
+    If f(x) = f(x') or g(y) = g(y'), f(c) is one of the three cells of
+    f(t); otherwise f(t) is a right triangle with fourth corner f(c), whose
+    rectangle saturation fills. Either way f(c) lies in sat(f(t)), inside
+    sat(step(t)). If f(c) is final, f(t) meets the finals: in the first
+    case because f(c) is in f(t), in the second by (P2) on f(t). So the
+    seed joins step(t) whenever it joins step({c}), and step({c}) lies in
+    sat(step(t)). On a product, then, the verdict is that of checking (P1)
+    letter by letter; any other automaton is refused, and measure_stx
+    answers a refusal with the full subset table.
     """
     n = n1 * n2
     if product.state_count != n:
         raise ValueError(f"a {n1} x {n2} grid has {n} cells, not {product.state_count}")
-    cell_bits = _seeded_bits(product, _mask_dtype(n))
-    rows, cols = np.arange(n1), np.arange(n2)
-    x, x2, y, y2 = (g.reshape(-1) for g in np.meshgrid(rows, rows, cols, cols, indexing="ij"))
-    keep = (x != x2) & (y != y2)
-    x, x2, y, y2 = x[keep], x2[keep], y[keep], y2[keep]
-    triangles = (x * n2 + y, x * n2 + y2, x2 * n2 + y)
-    corners = x2 * n2 + y2
-    # (P2), then (P1) a block of letters at a time
+    # (a): a cell's row image must not depend on its column, nor its
+    # column image on its row
+    rows, cols = np.divmod(product.delta.reshape(n1, n2, product.letter_count), n2)
+    if not ((rows == rows[:, :1]).all() and (cols == cols[:1]).all()):
+        return False
+    # (b): with x = x' or y = y' the corner is one of the three cells, so
+    # every (x, x', y, y') is tested at once
     final = np.zeros(n, dtype=bool)
     final[product.finals] = True
-    if (final[corners] & ~(final[triangles[0]] | final[triangles[1]] | final[triangles[2]])).any():
-        return False
-    step = block_rows(len(corners))
-    for lo in range(0, product.letter_count, step):
-        # steps[q, j] is step({q}) on letter lo + j
-        steps = np.take(cell_bits, product.delta[:, lo:lo + step])
-        images = np.take(steps, triangles[0], axis=0)
-        images |= np.take(steps, triangles[1], axis=0)
-        images |= np.take(steps, triangles[2], axis=0)
-        sat = normalize(images.reshape(-1))
-        if (np.take(steps, corners, axis=0).reshape(-1) & ~sat).any():
-            return False
-    return True
+    final = final.reshape(n1, n2)
+    met = final[:, None, :, None] | final[:, None, None, :] | final[None, :, :, None]
+    return not (final[None, :, None, :] & ~met).any()

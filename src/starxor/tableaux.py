@@ -1,11 +1,13 @@
 """Final zones, closed-form counts of right-triangle-free tableaux, and saturation.
 
 A tableau is a subset of the n1 x n2 grid, held as a row-major int mask
-(cell_bit), as in a SubsetDfa's state_masks. Saturation (saturate_masks,
-or on small grids a lookup in saturation_table) is part of the measurement
-path: measure_stx has stx search over saturated masks only, and
-saturation_premises_hold checks that this is sound. The
-tableau predicates and a pairwise-union saturation are test oracles in
+(cell_bit), as in a SubsetDfa's state_masks. Saturation is part of the
+measurement path: measure_stx has stx search over saturated masks only,
+and saturation_premises_hold checks on the product grid, with no
+saturation, that this is sound. reports.saturation_normalizer picks the
+saturation by grid size alone: a lookup in saturation_table, built once per
+grid and process, on grids of at most 16 cells, and saturate_masks beyond.
+The tableau predicates and a pairwise-union saturation are test oracles in
 tests/helpers.py.
 """
 
@@ -191,6 +193,7 @@ def saturation_table(n1: int, n2: int) -> np.ndarray:
     """saturate_masks over every mask of the n1 x n2 grid, indexed by mask.
 
     table.take(masks) then saturates any array of masks by one gather.
-    There are 2^(n1*n2) masks, so this pays only on small grids.
+    There are 2^(n1*n2) masks, so this pays only on small grids
+    (reports.TABLE_CELLS).
     """
     return saturate_masks(np.arange(1 << (n1 * n2)), n1, n2)

@@ -51,8 +51,8 @@ def accepts(a: Dfa, word: Iterable[int]) -> bool:
 def same_language(a: Dfa, b: Dfa) -> bool:
     """Language equality over a shared alphabet, by product exploration.
 
-    The reference for is_equivalent, which compares minimal DFAs instead: a
-    breadth-first walk over reachable state pairs that fails at the first pair
+    The reference for is_equivalent, which refines both DFAs' states into
+    one Nerode partition instead: a breadth-first walk over reachable state pairs that fails at the first pair
     whose finality differs.
     """
     assert a.letter_count == b.letter_count
@@ -71,6 +71,23 @@ def same_language(a: Dfa, b: Dfa) -> bool:
                 seen.add(nxt)
                 queue.append(nxt)
     return True
+
+
+def equivalent_by_minimizing(a: Dfa, b: Dfa) -> bool:
+    """is_equivalent as it was first written: equal canonical minimal DFAs.
+
+    minimize numbers the classes in breadth-first order from the initial
+    state, letters in index order, so two DFAs accept the same language
+    exactly when their minimized tables and finals are equal.
+    """
+    if a.letter_count != b.letter_count:
+        raise ValueError("language comparison needs a common alphabet")
+    ma, mb = minimize(a), minimize(b)
+    return (
+        ma.state_count == mb.state_count
+        and np.array_equal(ma.finals, mb.finals)
+        and np.array_equal(ma.delta, mb.delta)
+    )
 
 
 def check_1_uniformity(
@@ -515,8 +532,9 @@ def quotient_by_keys(a: Dfa, keys: np.ndarray) -> Dfa | None:
 def premises_by_image_tables(product: Dfa, n1: int, n2: int) -> bool:
     """saturation_premises_hold as it was first written, through the star's image tables.
 
-    The oracle for the direct check, which ORs the three cells' steps read
-    from delta: here each triangle's and corner's step comes from the
+    The oracle for the grid check, and for premises_by_letter_images, which
+    ORs the three cells' steps read from delta: here each triangle's and
+    corner's step comes from the
     chunked per-letter subset-image tables that star_modifier searches with
     (modifiers._star_images), and every image goes through saturate_masks.
     """
@@ -537,6 +555,69 @@ def premises_by_image_tables(product: Dfa, n1: int, n2: int) -> bool:
         letters = slice(lo, lo + step)
         sat = saturate_masks(images(triangles, letters).reshape(-1), n1, n2)
         if (images(corners, letters).reshape(-1) & ~sat).any():
+            return False
+    return True
+
+
+def premises_by_letter_images(
+    product: Dfa,
+    n1: int,
+    n2: int,
+    normalize: Callable[[np.ndarray], np.ndarray],
+) -> bool:
+    """saturation_premises_hold as it was before it read (P1) off the grid.
+
+    The oracle for the grid check: (P2) on the finals, then (P1) letter by
+    letter, a block of letters at a time (block_rows). Each triangle's step
+    is the union of its three cells' steps, read from product's delta with
+    the seed rule folded into the cell's bit, and goes through normalize,
+    which must saturate a 1-D array of the grid's masks (saturate_masks or
+    a lookup in saturation_table). It works on any automaton on the grid,
+    product or not.
+    """
+    n = n1 * n2
+    if product.state_count != n:
+        raise ValueError(f"a {n1} x {n2} grid has {n} cells, not {product.state_count}")
+    dtype = modifiers._mask_dtype(n)
+    cell_bits = np.left_shift(dtype(1), np.arange(n, dtype=dtype))
+    cell_bits[product.finals] |= dtype(1 << product.initial)
+    rows, cols = np.arange(n1), np.arange(n2)
+    x, x2, y, y2 = (g.reshape(-1) for g in np.meshgrid(rows, rows, cols, cols, indexing="ij"))
+    keep = (x != x2) & (y != y2)
+    x, x2, y, y2 = x[keep], x2[keep], y[keep], y2[keep]
+    triangles = (x * n2 + y, x * n2 + y2, x2 * n2 + y)
+    corners = x2 * n2 + y2
+    # (P2), then (P1) a block of letters at a time
+    final = np.zeros(n, dtype=bool)
+    final[product.finals] = True
+    if (final[corners] & ~(final[triangles[0]] | final[triangles[1]] | final[triangles[2]])).any():
+        return False
+    step = block_rows(len(corners))
+    for lo in range(0, product.letter_count, step):
+        # steps[q, j] is step({q}) on letter lo + j
+        steps = np.take(cell_bits, product.delta[:, lo:lo + step])
+        images = np.take(steps, triangles[0], axis=0)
+        images |= np.take(steps, triangles[1], axis=0)
+        images |= np.take(steps, triangles[2], axis=0)
+        sat = normalize(images.reshape(-1))
+        if (np.take(steps, corners, axis=0).reshape(-1) & ~sat).any():
+            return False
+    return True
+
+
+def acts_coordinatewise(a: Dfa, n1: int, n2: int) -> bool:
+    """Does every letter map each cell (x, y) of the n1 x n2 grid to (f(x), g(y))?
+
+    f is read off column 0 and g off row 0, then every cell is compared.
+    """
+    for j in range(a.letter_count):
+        f = [a.delta.item(x * n2, j) // n2 for x in range(n1)]
+        g = [a.delta.item(y, j) % n2 for y in range(n2)]
+        if any(
+            a.delta.item(x * n2 + y, j) != f[x] * n2 + g[y]
+            for x in range(n1)
+            for y in range(n2)
+        ):
             return False
     return True
 

@@ -668,8 +668,8 @@ def renumberings(draw, max_states=6):
 @settings(max_examples=200, deadline=None)
 @given(renumberings())
 def test_minimize_is_canonical_under_state_renumbering(case):
-    # is_equivalent rests on this: the minimal table does not depend on how
-    # the input numbers its states
+    # helpers.equivalent_by_minimizing rests on this: the minimal table does
+    # not depend on how the input numbers its states
     a, perm = case
     assert minimize(renumbered(a, perm)) == minimize(a)
 
@@ -701,7 +701,9 @@ def dfa_pairs(draw):
 @given(dfa_pairs())
 def test_is_equivalent_agrees_with_the_product_oracle(pair):
     a, b = pair
-    assert is_equivalent(a, b) == is_equivalent(b, a) == helpers.same_language(a, b)
+    verdict = helpers.same_language(a, b)
+    assert is_equivalent(a, b) == is_equivalent(b, a) == verdict
+    assert helpers.equivalent_by_minimizing(a, b) == verdict
 
 
 def test_preimage_by_renaming_permutes_columns():

@@ -115,22 +115,32 @@ def test_orbit_sweep_skips_whole_orbits_at_a_cap():
     [(3, 3, {}, 12), (4, 3, {"cap_letters": 10}, 0)],
 )
 def test_sweep_builds_one_construction_per_orbit(monkeypatch, n1, n2, caps, constructions):
-    # one alphabet per sweep, and one subset construction per orbit; a
-    # letter cap fires once, and no construction runs
-    alphabets, built = [], []
+    # one alphabet and one saturation table per sweep, and one subset
+    # construction per orbit; a letter cap fires once, and no construction
+    # runs
+    alphabets, tables, built = [], [], []
+    table = reports.saturation_table
 
     def counted_monster2(*args, **kwargs):
         alphabets.append(args)
         return monster2(*args, **kwargs)
 
+    def counted_table(*args):
+        tables.append(args)
+        return table(*args)
+
     def counted_stx(*args, **kwargs):
         built.append(args)
         return stx(*args, **kwargs)
 
+    # saturation_normalizer keeps the table of each grid it has built
+    reports.saturation_normalizer.cache_clear()
     monkeypatch.setattr(experiments, "monster2", counted_monster2)
+    monkeypatch.setattr(reports, "saturation_table", counted_table)
     monkeypatch.setattr(reports, "stx", counted_stx)
     rows, _ = sweep_reports(n1, n2, **caps)
     assert len(alphabets) == 1
+    assert tables == ([(n1, n2)] if constructions else [])
     assert len(built) == constructions
     assert len(rows) == 2 ** (n1 + n2)
     if caps:

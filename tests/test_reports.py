@@ -2,12 +2,14 @@
 
 Each test compares the route against Nerode refinement over the whole subset
 table (helpers.full_table_size or minimize(stx(...))), which shares no step
-with the quotient, or the premise check (saturation_premises_hold) against
-the whole-table congruence check (helpers.quotient_by_keys), which is local
-to no triangle, and against the check through the star's image tables
-(helpers.premises_by_image_tables). Saturation is the kernel
-(saturate_masks) or a lookup in saturation_table, as measure_stx picks
-(saturation_normalizer); the two give the same tables.
+with the quotient, or the premise check (saturation_premises_hold), which
+reads the premises off the product grid, against the whole-table
+congruence check (helpers.quotient_by_keys), which is local to no
+triangle, and against two checks that saturate every triangle's image
+under every letter (helpers.premises_by_letter_images and
+helpers.premises_by_image_tables). Saturation is the kernel
+(saturate_masks) or a lookup in saturation_table, as measure_stx picks by
+grid size (saturation_normalizer); the two give the same tables.
 """
 
 import functools
@@ -27,9 +29,9 @@ from starxor import (
     witness_pair,
     xor_modifier,
 )
-from starxor import automata, reports
+from starxor import automata, reports, tableaux
 from starxor.modifiers import saturation_premises_hold
-from starxor.reports import measure_stx, saturation_normalizer
+from starxor.reports import measure_stx
 from starxor.tableaux import saturate_masks, saturation_table
 
 WITNESS_SIZES = [(2, 2), (2, 3), (3, 2), (3, 3), (4, 3), (3, 4), (4, 4), (5, 4), (2, 8)]
@@ -43,12 +45,25 @@ def kernel(n1, n2):
 
 
 def premises(product, n1, n2):
-    # the direct check with the kernel and with the table, and the check
-    # through the star's image tables, give one verdict
-    verdict = saturation_premises_hold(product, n1, n2, kernel(n1, n2))
-    assert saturation_premises_hold(product, n1, n2, saturation_table(n1, n2).take) == verdict
+    # on a product the grid check, the letter-by-letter check with the
+    # kernel and with the table, and the check through the star's image
+    # tables give one verdict
+    assert helpers.acts_coordinatewise(product, n1, n2)
+    verdict = saturation_premises_hold(product, n1, n2)
+    assert helpers.premises_by_letter_images(product, n1, n2, kernel(n1, n2)) == verdict
+    assert helpers.premises_by_letter_images(product, n1, n2, saturation_table(n1, n2).take) == verdict
     assert helpers.premises_by_image_tables(product, n1, n2) == verdict
     return verdict
+
+
+@pytest.fixture
+def fresh_normalizer():
+    # saturation_normalizer keeps one saturation per grid for the process;
+    # a test that counts or replaces table builds starts and ends without them
+    normalizer = reports.saturation_normalizer
+    normalizer.cache_clear()
+    yield
+    normalizer.cache_clear()
 
 
 def direct_quotient(pair):
@@ -111,53 +126,55 @@ def test_the_check_accepts_the_union_zone_and_refuses_the_intersection(n1, n2):
     assert verdicts == {"xor": True, "union": True, "intersection": False}
 
 
-def test_the_check_goes_a_block_of_letters_at_a_time(monkeypatch):
-    # the full (4,3) monster: 72 triangles x 6,912 letters, in blocks of 13
-    # letters (936 images), the last one shorter, give the unblocked
-    # verdicts; the intersection zone fails (P2) before any image is taken
-    sizes = []
-
-    def spy(masks, n1, n2):
-        sizes.append(len(masks))
-        return saturate_masks(masks, n1, n2)
-
-    monkeypatch.setattr(automata, "BLOCK_ENTRIES", 1000)
-    for name, zone in ZONES.items():
-        product = rezoned_product(4, 3, (3,), (0,), zone)
-        normalize = functools.partial(spy, n1=4, n2=3)
-        assert saturation_premises_hold(product, 4, 3, normalize) == (name != "intersection")
-    assert max(sizes) == 72 * 13
-    assert sum(sizes) == 2 * 72 * 6912
-
-
-@pytest.mark.parametrize("n1, n2", [(2, 2), (2, 3), (3, 2), (3, 3), (4, 3), (2, 5)])
+@pytest.mark.parametrize(
+    "n1, n2", [(2, 2), (2, 3), (3, 2), (3, 3), (4, 2), (2, 4), (4, 3), (3, 4), (4, 4), (2, 5)]
+)
 def test_the_direct_check_gives_the_image_table_verdict_on_random_grid_automata(n1, n2):
-    # xor products of random operands always pass; with random finals, or
-    # one transition redirected, they pass or fail
+    # xor products of random operands always pass, and with random finals
+    # and a random initial cell, so that the seed may sit anywhere on the
+    # grid, they pass or fail, each with the letter-by-letter verdict. One
+    # transition redirected may break the coordinatewise action; the grid
+    # check then refuses, and where it accepts, so do the letter-by-letter
+    # check and the whole-table one
     rng = np.random.default_rng(10 * n1 + n2)
     n = n1 * n2
+    normalize = kernel(n1, n2)
 
     def operand(size, letters):
         finals = np.flatnonzero(rng.random(size) < 0.5)
         return Dfa(letters, size, int(rng.integers(size)), finals, rng.integers(0, size, (size, letters)))
 
-    seen = set()
+    seen, by_letter, product_kept = set(), set(), set()
     for _ in range(40):
         letters = int(rng.integers(1, 6))
         product = xor_modifier(operand(n1, letters), operand(n2, letters))
         assert premises(product, n1, n2)
         finals = np.flatnonzero(rng.random(n) < rng.random())
-        rezoned = Dfa(letters, n, product.initial, finals, product.delta)
+        rezoned = Dfa(letters, n, int(rng.integers(n)), finals, product.delta)
+        seen.add(premises(rezoned, n1, n2))
         delta = product.delta.copy()
         delta[rng.integers(n), rng.integers(letters)] = rng.integers(n)
         redirected = Dfa(letters, n, product.initial, product.finals, delta)
-        seen |= {premises(rezoned, n1, n2), premises(redirected, n1, n2)}
+        holds = saturation_premises_hold(redirected, n1, n2)
+        coordinatewise = helpers.acts_coordinatewise(redirected, n1, n2)
+        product_kept.add(coordinatewise)
+        # the xor zone always satisfies (P2), so only (a) can fail
+        assert holds == coordinatewise
+        oracle = helpers.premises_by_letter_images(redirected, n1, n2, normalize)
+        assert oracle == helpers.premises_by_image_tables(redirected, n1, n2)
+        by_letter.add(oracle)
+        if holds:
+            assert oracle
+        if oracle:
+            assert keyed_quotient(star_modifier(redirected, full=True), n1, n2) is not None
     assert seen == {False, True}
+    assert product_kept == {False, True}
+    assert by_letter == {False, True}
 
 
 def test_the_check_needs_a_grid_of_the_product_size():
     with pytest.raises(ValueError, match="a 2 x 3 grid has 6 cells, not 9"):
-        saturation_premises_hold(xor_modifier(*witness_pair(3, 3)), 2, 3, kernel(2, 3))
+        saturation_premises_hold(xor_modifier(*witness_pair(3, 3)), 2, 3)
 
 
 @pytest.mark.parametrize("n1, n2", WITNESS_SIZES)
@@ -200,8 +217,8 @@ def test_a_partition_that_is_not_a_congruence_leaves_the_full_table(monkeypatch)
     pair = monster2(MonsterSpec.pair(3, 3, {2}, {0}))
     checked, built = [], []
 
-    def refuse(product, n1, n2, normalize):
-        checked.append(saturation_premises_hold(product, n1, n2, normalize))
+    def refuse(product, n1, n2):
+        checked.append(saturation_premises_hold(product, n1, n2))
         return False
 
     def spy(*args, **kwargs):
@@ -222,8 +239,8 @@ def test_a_partition_that_is_not_a_congruence_leaves_the_full_table(monkeypatch)
 def test_wide_and_tall_witnesses_take_the_checked_quotient(monkeypatch, n1, n2, size):
     checked, built = [], []
 
-    def check(product, n1, n2, normalize):
-        checked.append(saturation_premises_hold(product, n1, n2, normalize))
+    def check(product, n1, n2):
+        checked.append(saturation_premises_hold(product, n1, n2))
         return checked[-1]
 
     def spy(*args, **kwargs):
@@ -278,17 +295,16 @@ def test_the_table_and_the_kernel_build_the_same_quotient(pair):
 @pytest.mark.parametrize(
     "build, tables",
     [
-        # 240 triangles x 17 letters = 4,080 images, fewer than 2^20 masks
-        (lambda: witness_pair(5, 4), []),
-        # 36 triangles x 729 letters = 26,244 images, against 2^9 masks
         (lambda: monster2(MonsterSpec.pair(3, 3, {2}, {0})), [(3, 3)]),
-        # 36 x 17 = 612 images, against 2^9 masks
-        (lambda: witness_pair(3, 3), [(3, 3)]),
+        (lambda: witness_pair(4, 4), [(4, 4)]),
+        (lambda: witness_pair(2, 8), [(2, 8)]),
+        (lambda: witness_pair(5, 4), []),
+        (lambda: witness_pair(2, 9), []),
     ],
-    ids=["witness (5,4)", "monster (3,3)", "witness (3,3)"],
+    ids=["monster (3,3)", "witness (4,4)", "witness (2,8)", "witness (5,4)", "witness (2,9)"],
 )
-def test_measure_stx_builds_the_table_only_where_the_check_would_saturate_as_many_masks(
-    monkeypatch, build, tables
+def test_measure_stx_builds_one_table_per_grid_of_at_most_16_cells(
+    monkeypatch, fresh_normalizer, build, tables
 ):
     built, handed = [], []
     table = reports.saturation_table
@@ -297,23 +313,89 @@ def test_measure_stx_builds_the_table_only_where_the_check_would_saturate_as_man
         built.append((n1, n2))
         return table(n1, n2)
 
-    def spy_check(product, n1, n2, normalize):
-        handed.append(normalize)
-        return saturation_premises_hold(product, n1, n2, normalize)
-
     def spy_stx(*args, **kwargs):
         handed.append(kwargs["normalize"])
         return stx(*args, **kwargs)
 
     monkeypatch.setattr(reports, "saturation_table", spy_table)
-    monkeypatch.setattr(reports, "saturation_premises_hold", spy_check)
     monkeypatch.setattr(reports, "stx", spy_stx)
-    size, note = measure_stx(build, 2**22)
-    assert (size, note) == (helpers.full_table_size(build, 2**22), "")
+    expected = (helpers.full_table_size(build, 2**22), "")
+    assert measure_stx(build, 2**22) == measure_stx(build, 2**22) == expected
+    # two measurements, one table at most, and one saturation for both
     assert built == tables
-    # one saturation, passed to both the build and the check
     assert len(handed) == 2 and handed[0] is handed[1]
     assert isinstance(handed[0], functools.partial) == (not tables)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: monster2(MonsterSpec.pair(3, 3, {2}, {0})), lambda: witness_pair(5, 4)],
+    ids=["monster (3,3), table", "witness (5,4), kernel"],
+)
+def test_the_check_saturates_nothing(monkeypatch, build):
+    # every saturation measure_stx makes goes through the one it picked;
+    # none happens while the check runs
+    calls, during = [], []
+    pick = reports.saturation_normalizer
+
+    def spy_normalizer(n1, n2):
+        saturate = pick(n1, n2)
+
+        def counted(masks):
+            calls.append(len(masks))
+            return saturate(masks)
+
+        return counted
+
+    def spy_check(product, n1, n2):
+        before = len(calls)
+        holds = saturation_premises_hold(product, n1, n2)
+        during.append(len(calls) - before)
+        return holds
+
+    def unused(*args, **kwargs):
+        raise AssertionError("the premise check saturates nothing")
+
+    monkeypatch.setattr(reports, "saturation_normalizer", spy_normalizer)
+    monkeypatch.setattr(reports, "saturation_premises_hold", spy_check)
+    assert measure_stx(build, 2**22)[1] == ""
+    assert calls and during == [0]
+    monkeypatch.setattr(reports, "saturate_masks", unused)
+    monkeypatch.setattr(tableaux, "saturate_masks", unused)
+    first, second = build()
+    n1, n2 = first.state_count, second.state_count
+    assert saturation_premises_hold(xor_modifier(first, second), n1, n2)
+
+
+@pytest.mark.parametrize(
+    "n1, n2, table",
+    [
+        (2, 1, True),
+        (3, 3, True),
+        (4, 4, True),
+        (2, 8, True),
+        (8, 2, True),
+        (3, 6, False),
+        (2, 9, False),
+        (5, 4, False),
+        (5, 5, False),
+    ],
+)
+def test_the_table_serves_grids_of_at_most_16_cells(monkeypatch, fresh_normalizer, n1, n2, table):
+    built = []
+
+    def spy_table(n1, n2):
+        built.append((n1, n2))
+        return np.zeros(1 << n1 * n2, dtype=np.int32)
+
+    monkeypatch.setattr(reports, "saturation_table", spy_table)
+    normalize = reports.saturation_normalizer(n1, n2)
+    assert reports.saturation_normalizer(n1, n2) is normalize
+    assert isinstance(normalize, functools.partial) != table
+    assert built == ([(n1, n2)] if table else [])
+    if table:
+        # the one table the process keeps is read-only
+        assert not normalize.__self__.flags.writeable
 
 
 @pytest.mark.parametrize(
@@ -323,14 +405,36 @@ def test_measure_stx_builds_the_table_only_where_the_check_would_saturate_as_man
         (3, 3, 15, True),  # 540 images
         (4, 4, 455, False),  # 65,520 images < 65,536 masks
         (4, 4, 456, True),
-        (5, 4, 10**6, True),  # 2^20 masks fit one block
-        (5, 5, 10**9, False),  # 2^25 masks do not
-        (2, 1, 10**6, False),  # no right triangles
     ],
 )
 def test_the_table_pays_where_the_check_alone_saturates_as_many_masks(
-    monkeypatch, n1, n2, letters, table
+    monkeypatch, fresh_normalizer, n1, n2, letters, table
 ):
-    monkeypatch.setattr(reports, "saturation_table", lambda n1, n2: np.zeros(1 << n1 * n2))
-    normalize = saturation_normalizer(n1, n2, letters)
-    assert isinstance(normalize, functools.partial) != table
+    # the letter-by-letter check saturates one image per right triangle and
+    # letter, as many masks as the table holds exactly where `table` says;
+    # the grid check saturates none, and the grid rule builds the table at
+    # any letter count, once for the process, so it pays either way
+    rng = np.random.default_rng(letters)
+
+    def operand(size):
+        finals = np.flatnonzero(rng.random(size) < 0.5)
+        return Dfa(letters, size, int(rng.integers(size)), finals, rng.integers(0, size, (size, letters)))
+
+    product = xor_modifier(operand(n1), operand(n2))
+    images = []
+
+    def counted(masks):
+        images.append(len(masks))
+        return saturate_masks(masks, n1, n2)
+
+    assert helpers.premises_by_letter_images(product, n1, n2, counted)
+    assert sum(images) == n1 * (n1 - 1) * n2 * (n2 - 1) * letters
+    assert (sum(images) >= 1 << n1 * n2) == table
+    normalize = reports.saturation_normalizer(n1, n2)
+    assert not isinstance(normalize, functools.partial)
+    assert reports.saturation_normalizer(n1, n2) is normalize
+    monkeypatch.setattr(tableaux, "saturate_masks", counted)
+    monkeypatch.setattr(reports, "saturate_masks", counted)
+    images.clear()
+    assert saturation_premises_hold(product, n1, n2)
+    assert images == []
