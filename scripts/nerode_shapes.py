@@ -31,6 +31,13 @@ at (4,4) and at (2,8), a grid eight columns wide; the (3,3) monster of two
 final pairs, 729 letters each, as in the sweep-wide benchmark; and the
 full (4,3) and (4,4) monsters over 6,912 and 65,536 letters. The (4,4)
 shape holds about 350 MB at its peak.
+
+A second table times `saturate_masks` alone, --repeat times, fastest call
+in ms, on three inputs far larger than the blocks a search hands it: every
+(4,4) mask (what the (4,4) lookup table saturates), every (5,4) mask, and
+2^20 random (6,6) masks drawn with a fixed seed, with a digest of the
+result. The masks are made here, not by the tree, so --src compares the
+kernels of two trees on the same input.
 """
 
 from __future__ import annotations
@@ -138,6 +145,21 @@ def main(argv: list[str] | None = None) -> int:
             flush=True,
         )
         del built, part
+
+    import numpy as np
+
+    print()
+    print("| saturation input | masks | saturate_masks ms | result sha256 |")
+    print("|---" * 4 + "|")
+    rng = np.random.default_rng(2020)
+    inputs = [
+        ("every (4,4) mask", 4, 4, np.arange(1 << 16, dtype=np.int64)),
+        ("every (5,4) mask", 5, 4, np.arange(1 << 20, dtype=np.int64)),
+        ("random (6,6) masks", 6, 6, rng.integers(0, 1 << 36, 1 << 20, dtype=np.int64)),
+    ]
+    for name, n1, n2, masks in inputs:
+        sat, best = fastest(lambda: saturate_masks(masks, n1, n2))
+        print(f"| {name} | {len(masks):,} | {best * 1e3:.2f} | {digest(sat)} |", flush=True)
     return 0
 
 

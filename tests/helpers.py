@@ -449,6 +449,53 @@ def saturate_mask(mask: int, n1: int, n2: int) -> int:
     return sum(r << (x * n2) for x, r in enumerate(rows))
 
 
+def saturate_masks_pair_by_pair(masks: np.ndarray, n1: int, n2: int) -> np.ndarray:
+    """The saturation of each row-major n1 x n2 mask, one pair of rows at a time.
+
+    The kernel as it was before it took all pairs of rows at one offset at
+    once, kept verbatim as a second oracle for saturate_masks.
+
+    Saturation joins two rows whenever they share a column and fills each
+    component, rows R by columns C, to the full rectangle R x C: the least
+    right-triangle-free superset of the mask. Each row x holds a column set
+    c_x, at first its own columns; in each round, every pair of sets that
+    meet is replaced by their union. After k rounds c_x holds every row
+    within distance 2**k - 1 of x in the graph of rows that share a column,
+    and never a row outside x's component, so (n1 - 1).bit_length() rounds
+    leave c_x = C. Masks go a block at a time, with rows in the narrowest
+    unsigned type for n2 bits; the result is int32 up to 31 bits, else int64.
+    """
+    masks = np.asarray(masks)
+    dtype = np.int32 if n1 * n2 <= 31 else np.int64
+    width = (1 << n2) - 1
+    row_type = np.min_scalar_type(width)
+    out = np.zeros(len(masks), dtype=dtype)
+    step = block_rows(n1)
+    for lo in range(0, len(masks), step):
+        block = masks[lo:lo + step].astype(dtype)
+        cover = np.empty((n1, len(block)), dtype=row_type)
+        for x in range(n1):
+            np.bitwise_and(block >> (x * n2), width, out=cover[x], casting="unsafe")
+        union = np.empty(len(block), dtype=row_type)
+        meet = np.empty(len(block), dtype=bool)
+        for _ in range((n1 - 1).bit_length()):
+            for x, y in itertools.combinations(range(n1), 2):
+                np.bitwise_and(cover[x], cover[y], out=union)
+                np.not_equal(union, 0, out=meet)
+                # where the two sets meet, both become their union
+                np.bitwise_or(cover[x], cover[y], out=union)
+                union *= meet
+                cover[x] |= union
+                cover[y] |= union
+        sat = out[lo:lo + len(block)]
+        for x in range(n1):
+            # block, no longer needed, holds row x's saturated columns
+            block[:] = cover[x]
+            block <<= x * n2
+            sat |= block
+    return out
+
+
 def count_rtf_exhaustive(x: int, y: int, pinned: bool) -> int:
     """Right-triangle-free tableaux on an x by y grid, by trying all 2^(x*y) masks.
 

@@ -1,5 +1,7 @@
 """End-to-end checks of the command line entry point."""
 
+import contextlib
+import io
 import json
 import os
 import re
@@ -11,6 +13,60 @@ import pytest
 
 from starxor import import_json, sigma_prime
 from starxor.cli import main
+
+REFERENCES = Path(__file__).resolve().parent / "references"
+
+# Every text argparse prints for the CLI: --help at the top and for each
+# subcommand, and the usage errors it raises before main checks anything.
+# None of these runs a subcommand, so no output file is ever written.
+CLI_TEXT_CASES = {
+    "help": ["--help"],
+    "sc-help": ["sc", "--help"],
+    "sweep-finals-help": ["sweep-finals", "--help"],
+    "verify-figures-help": ["verify-figures", "--help"],
+    "export-help": ["export", "--help"],
+    "no-subcommand": [],
+    "unknown-subcommand": ["nonsense"],
+    "double-dash-first": ["--", "sc", "--n1", "2", "--n2", "2"],
+    "help-after-subcommand-options": ["sc", "--n1", "2", "--help"],
+    "sc-missing-n2": ["sc", "--n1", "2"],
+    "sweep-missing-sizes": ["sweep-finals"],
+    "export-missing-what": ["export", "--format", "csv", "--out", "alpha.csv"],
+    "sc-bad-method": ["sc", "--n1", "2", "--n2", "2", "--method", "nonsense"],
+    "sc-option-of-sweep": ["sc", "--n1", "2", "--n2", "2", "--jobs", "2"],
+    "sweep-option-of-sc": ["sweep-finals", "--n1", "2", "--n2", "2", "--method", "formula"],
+    "figures-option-of-export": ["verify-figures", "--max-x", "3"],
+    "export-option-of-sc": [
+        "export", "--what", "alpha-table", "--format", "csv", "--out", "alpha.csv",
+        "--report", "r.json",
+    ],
+}
+
+
+def cli_texts() -> str:
+    """The stdout, stderr and exit code of every CLI_TEXT_CASES run, as JSON text."""
+    texts = {}
+    for name, argv in CLI_TEXT_CASES.items():
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        texts[name] = {"argv": argv, "code": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+    return json.dumps(texts, indent=2) + "\n"
+
+
+@pytest.mark.skipif(
+    sys.version_info[:2] != (3, 11), reason="the frozen text is Python 3.11's argparse"
+)
+def test_cli_text_matches_its_frozen_copy(monkeypatch):
+    # tests/references/cli-text.json is the text as the CLI printed it when
+    # it still built every subcommand's arguments on each run, so building
+    # only the named subcommand's changes no byte of it; argparse wraps at
+    # the terminal width, which COLUMNS fixes
+    monkeypatch.setenv("COLUMNS", "80")
+    assert cli_texts() == (REFERENCES / "cli-text.json").read_text()
 
 
 def test_sc_formula_only(capsys):
@@ -213,29 +269,74 @@ def test_a_failed_write_exits_2_with_one_line(argv, capsys):
     assert err.startswith(f"{argv[0]} error: ")
 
 
+ALPHA = ["export", "--what", "alpha-table", "--format", "csv", "--out", "{out}"]
+
+
 @pytest.mark.parametrize(
-    "argv",
+    "argv, error",
     [
-        ["sc", "--n1", "2", "--n2", "2", "--jobs", "2"],
-        ["verify-figures", "--jobs", "2"],
-        ["verify-figures", "--cap-states", "5"],
-        ["verify-figures", "--cap-letters", "5"],
-        ["export", "--what", "alpha-table", "--format", "csv", "--out", "{out}", "--jobs", "2"],
-        ["export", "--what", "alpha-table", "--format", "csv", "--out", "{out}", "--cap-states", "5"],
-        ["export", "--what", "alpha-table", "--format", "csv", "--out", "{out}", "--cap-letters", "5"],
+        (["sc", "--n1", "2", "--n2", "2", "--jobs", "2"], "unrecognized arguments"),
+        (["verify-figures", "--jobs", "2"], "unrecognized arguments"),
+        (["verify-figures", "--cap-states", "5"], "unrecognized arguments"),
+        (["verify-figures", "--cap-letters", "5"], "unrecognized arguments"),
+        ([*ALPHA, "--jobs", "2"], "unrecognized arguments"),
+        ([*ALPHA, "--cap-states", "5"], "unrecognized arguments"),
+        ([*ALPHA, "--cap-letters", "5"], "unrecognized arguments"),
+        # argparse knows these export options; _check_usage rejects them
+        # where the artifact would ignore them
+        ([*ALPHA, "--n1", "9", "--n2", "9"], "export error: --what alpha-table ignores --n1 and --n2"),
+        ([*ALPHA, "--n2", "3", "--max-x", "5"], "export error: --what alpha-table ignores --n2"),
+        (
+            ["export", "--what", "star-monster", "--format", "dot", "--out", "{out}", "--n1", "3"],
+            "export error: --what star-monster ignores --n1",
+        ),
+        (
+            ["export", "--what", "example-monster", "--format", "json", "--out", "{out}",
+             "--n1", "3", "--n2", "3", "--max-y", "2"],
+            "export error: --what example-monster ignores --n1 and --n2 and --max-y",
+        ),
+        (
+            ["export", "--what", "witness-pair", "--format", "json", "--out", "{out}",
+             "--n1", "3", "--n2", "3", "--max-x", "2"],
+            "export error: --what witness-pair ignores --max-x",
+        ),
+        (
+            ["export", "--what", "renamed-dfa", "--format", "dot", "--out", "{out}", "--max-y", "4"],
+            "export error: --what renamed-dfa ignores --max-y",
+        ),
     ],
     ids=[
         "sc-jobs", "figures-jobs", "figures-cap-states", "figures-cap-letters",
         "export-jobs", "export-cap-states", "export-cap-letters",
+        "alpha-table-sizes", "alpha-table-n2", "reference-n1", "reference-sizes-and-max-y",
+        "witness-pair-max-x", "reference-max-y",
     ],
 )
-def test_options_a_subcommand_would_ignore_are_rejected(argv, tmp_path, capsys):
-    out = tmp_path / "alpha.csv"
-    with pytest.raises(SystemExit) as exc:
-        main([a.format(out=out) for a in argv])
-    assert exc.value.code == 2
-    assert "unrecognized arguments" in capsys.readouterr().err
+def test_options_a_subcommand_would_ignore_are_rejected(argv, error, tmp_path, capsys):
+    out = tmp_path / "artifact"
+    try:
+        code = main([a.format(out=out) for a in argv])
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert error in captured.err
+    if error.startswith("export error"):
+        assert captured.err == error + "\n"
     assert not out.exists()
+
+
+def test_the_alpha_table_takes_its_bounds_and_defaults_to_4(tmp_path, capsys):
+    # formula-table's own command, and the bounds left to export_artifact
+    path = tmp_path / "alpha.csv"
+    assert main([a.format(out=path) for a in ALPHA] + ["--max-x", "5", "--max-y", "5"]) == 0
+    assert len(path.read_text().splitlines()) == 1 + 36
+    assert main([a.format(out=path) for a in ALPHA] + ["--max-y", "1"]) == 0
+    assert len(path.read_text().splitlines()) == 1 + 5 * 2
+    assert main([a.format(out=path) for a in ALPHA]) == 0
+    assert len(path.read_text().splitlines()) == 1 + 25
+    capsys.readouterr()
 
 
 def test_importing_the_cli_leaves_numpy_random_unloaded():
