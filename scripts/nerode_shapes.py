@@ -15,10 +15,17 @@ the saturation quotient, `stx(..., normalize=that saturation)`, with a
 digest of its `delta` and `state_masks` and its state and letter counts;
 and `nerode_partition` of that quotient, whose class count is the size
 `measure_stx` reports, with its rounds, its class count and a digest of
-`class_of`. Equal digests mean equal operands, quotient tables and
-partitions, so two source trees can be compared kernel for kernel: --src
-imports `starxor` from another tree's `src` directory (default: this
-one's). Older trees differ in three ways, read off their signatures: a
+`class_of`. Warm calls reuse memory that earlier calls freed, so they
+cannot show what a build touches first; the `build KiB` column is the
+growth of the peak RSS over one build of the same quotient, in a fresh
+child process per shape that builds the operands and picks the
+saturation first. The peak is the child's VmHWM, the high-water mark of
+its own address space (Linux only): its ru_maxrss would start at this
+process's peak, which the larger shapes raise to hundreds of MB. Equal
+digests mean equal operands, quotient tables and partitions, so two
+source trees can be compared kernel for kernel, and the build column
+compares their memory: --src imports `starxor` from another tree's `src`
+directory (default: this one's). Older trees differ in three ways, read off their signatures: a
 tree without `saturation_normalizer` saturates with the kernel; a
 normalizer that takes a letter count gets the operands'; and a check that
 takes a saturation gets the one picked. Where a tree has no premise
@@ -46,6 +53,7 @@ import argparse
 import functools
 import hashlib
 import inspect
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -53,10 +61,20 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
+def peak_kib() -> int:
+    """This process's peak RSS in KiB, from VmHWM in /proc/self/status."""
+    with open("/proc/self/status") as status:
+        return next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--repeat", type=int, default=5, help="calls per shape; the fastest is shown")
     parser.add_argument("--src", type=Path, default=SRC, help="directory to import starxor from")
+    # the fresh child that measures one shape's build: its index in the
+    # shapes, and whether the premises hold, which picks the build
+    parser.add_argument("--build-rss", type=int, help=argparse.SUPPRESS)
+    parser.add_argument("--holds", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.repeat < 1:
         parser.error("--repeat must be at least 1")
@@ -90,6 +108,30 @@ def main(argv: list[str] | None = None) -> int:
         ("full monster (4,4)", lambda: monster2(MonsterSpec.pair(4, 4, {3}, {0}))),
     ]
 
+    def saturation(n1, n2, letters):
+        if pick is None:
+            return functools.partial(saturate_masks, n1=n1, n2=n2)
+        return pick(*((n1, n2, letters) if pick_takes_letters else (n1, n2)))
+
+    def builder(saturate, holds):
+        # a tree without the check has no normalize argument either
+        return functools.partial(stx, normalize=saturate) if holds else stx
+
+    if args.build_rss is not None:
+        first, second = shapes[args.build_rss][1]()
+        n1, n2 = first.state_count, second.state_count
+        build = builder(saturation(n1, n2, first.letter_count), args.holds)
+        before = peak_kib()
+        build(first, second)
+        print(peak_kib() - before)
+        return 0
+
+    def build_growth(index, holds) -> int:
+        """Peak RSS growth in KiB over one build, in a fresh child."""
+        child = [sys.executable, __file__, "--src", str(args.src), "--build-rss", str(index)]
+        child += ["--holds"] * holds
+        return int(subprocess.run(child, capture_output=True, text=True, check=True).stdout)
+
     def fastest(call):
         best = float("inf")
         for _ in range(args.repeat):
@@ -105,20 +147,20 @@ def main(argv: list[str] | None = None) -> int:
 
     print(
         "| shape | operands ms | operands sha256 | saturation | pick ms | check ms | premises "
-        "| quotient ms | quotient sha256 | states | letters | nerode ms | rounds | classes "
-        "| classes sha256 |"
+        "| quotient ms | quotient sha256 | states | letters | build KiB | nerode ms | rounds "
+        "| classes | classes sha256 |"
     )
-    print("|---" * 15 + "|")
-    for name, operands in shapes:
+    print("|---" * 16 + "|")
+    for index, (name, operands) in enumerate(shapes):
         (first, second), operands_best = fastest(operands)
         n1, n2 = first.state_count, second.state_count
         product = xor_modifier(first, second)
         if pick is None:
-            saturate, pick_best = functools.partial(saturate_masks, n1=n1, n2=n2), None
+            saturate, pick_best = saturation(n1, n2, first.letter_count), None
         else:
-            grid = (n1, n2, first.letter_count) if pick_takes_letters else (n1, n2)
             clear = getattr(pick, "cache_clear", lambda: None)
-            saturate, pick_best = fastest(lambda: clear() or pick(*grid))
+            grid = (n1, n2, first.letter_count)
+            saturate, pick_best = fastest(lambda: clear() or saturation(*grid))
         if check_takes_saturation:
             check = lambda: check_premises(product, n1, n2, saturate)
         else:
@@ -127,8 +169,7 @@ def main(argv: list[str] | None = None) -> int:
         holds, check_best = False, None
         if check_premises is not None:
             holds, check_best = fastest(check)
-        # a tree without the check has no normalize argument either
-        build = functools.partial(stx, normalize=saturate) if holds else stx
+        build = builder(saturate, holds)
         built, build_best = fastest(lambda: build(first, second))
         part, nerode_best = fastest(lambda: nerode_partition(built))
         print(
@@ -139,7 +180,7 @@ def main(argv: list[str] | None = None) -> int:
             f"| {'-' if check_best is None else f'{check_best * 1e3:.1f}'} "
             f"| {'-' if check_best is None else 'yes' if holds else 'no'} "
             f"| {build_best * 1e3:.1f} | {digest(built.delta, built.state_masks)} "
-            f"| {built.state_count:,} | {built.letter_count:,} "
+            f"| {built.state_count:,} | {built.letter_count:,} | {build_growth(index, holds):,} "
             f"| {nerode_best * 1e3:.1f} | {part.rounds} | {part.class_count:,} "
             f"| {digest(part.class_of)} |",
             flush=True,

@@ -8,6 +8,7 @@ renamings by design.
 
 from __future__ import annotations
 
+import mmap
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -23,8 +24,10 @@ TRANSITION_CAP = 2**27
 # Subset masks are int64, so bit 62 is the highest an operand state can use.
 MAX_OPERAND_STATES = 63
 # Bound on the entries of the per-letter subset-image lookup tables, and of
-# star_modifier's dense mask map (n <= 22 operand states: at most 16 MB). It
-# must stay below 2^31, so that the dense map's masks fit in int32.
+# star_modifier's dense mask map (n <= 22 operand states: at most 16 MB of
+# address space, of which only the pages a search writes are backed; 336 of
+# 1,024 at witness (5,4)). It must stay below 2^31, so that the dense map's
+# masks fit in int32.
 TABLE_ENTRIES = 2**22
 
 
@@ -158,11 +161,12 @@ def star_modifier(
 
     The frontier is expanded a block of rows at a time, every letter at once,
     into one table. When 2^n <= TABLE_ENTRIES, masks are held as int32 and
-    map to state ids through a dense int32 array over all 2^n masks; else
-    they are held as int64 and map through a sorted array of the masks found
-    so far. Either way state_masks comes out as int64. LimitExceeded is
-    raised once the known subset states exceed cap_states or, times the
-    letter count, TRANSITION_CAP; it is raised up front if a has more than
+    map to state ids through a dense int32 array over all 2^n masks, whose
+    memory is backed only where the search writes it; else they are held
+    as int64 and map through a sorted array of the masks found so far.
+    Either way state_masks comes out as int64. LimitExceeded is raised once
+    the known subset states exceed cap_states or, times the letter count,
+    TRANSITION_CAP; it is raised up front if a has more than
     MAX_OPERAND_STATES states.
     """
     if full and normalize is not None:
@@ -213,31 +217,36 @@ def star_modifier(
     # (normalized) masks in img, numbering the unseen ones count, count + 1,
     # ... by first occurrence, and returns the unseen masks in that order
     if dense:
-        # dense map: slot[m] is the id of the state that mask m goes to, -1
-        # while m is unseen; with normalize, m is any image seen so far and
-        # its state that of normalize(m)
-        slot = np.full(1 << n, -1, dtype=np.int32)
-        slot[masks[:count]] = np.arange(count, dtype=np.int32)
+        # dense map: slot[m] is 1 + the id of the state that mask m goes to,
+        # 0 while m is unseen; with normalize, m is any image seen so far and
+        # its state that of normalize(m). The map is a private anonymous
+        # mapping, so the kernel zero-fills a page when it is first written
+        # and the search pays only for the pages it touches; a shared one
+        # would back a page on its first read. The array's buffer holds the
+        # mapping, which is unmapped when number goes.
+        slot = np.frombuffer(mmap.mmap(-1, 4 << n, flags=mmap.MAP_PRIVATE), dtype=np.int32)
+        slot[masks[:count]] = np.arange(1, count + 1, dtype=np.int32)
 
         def number(img: np.ndarray, count: int, ids: np.ndarray) -> np.ndarray:
             # every mask is in range, so mode="clip" only skips the buffered
             # copy that the default mode makes of ids
             np.take(slot, img, out=ids, mode="clip")
-            unseen = np.flatnonzero(ids < 0)
+            unseen = np.flatnonzero(ids == 0)
             found = img[unseen]
             if normalize is None or not len(found):
-                fresh = number_first(slot, found, count)
+                fresh = number_first(slot, found, count + 1)
             else:
                 # each unseen image once, in first-occurrence order, which
                 # slot numbers only for the moment; the normalized masks
                 # keep that order, so the unseen ones among them are
                 # numbered as if every image had been normalized
-                raw = number_first(slot, found, 0)
-                slot[raw] = -1
+                raw = number_first(slot, found, 1)
+                slot[raw] = 0
                 sat = normalize(raw)
-                fresh = number_first(slot, sat[slot[sat] < 0], count)
+                fresh = number_first(slot, sat[slot[sat] == 0], count + 1)
                 slot[raw] = slot[sat]
             ids[unseen] = slot[found]
+            ids -= 1
             return fresh
     else:
         # sorted map: known holds every mask found so far, sorted, and

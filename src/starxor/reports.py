@@ -102,7 +102,8 @@ def measure_stx(
     A cap hit while building the operands or the subset automaton (letters,
     subset states, transitions, or the operand-size limit of subset masks)
     gives (None, the cap's message) instead; otherwise the note is empty,
-    unless the full table had to be minimized, which it then says.
+    unless the premise check refused the quotient and the full table's
+    classes were counted instead, which it then says.
 
     The size is that of the saturation quotient, built directly: stx runs
     its breadth-first search over saturated masks only (normalize=
@@ -127,7 +128,7 @@ def measure_stx(
             built = stx(first, second, cap_states=cap_states)
     except LimitExceeded as exc:
         return None, str(exc)
-    note = "" if sound else "the saturation premises do not hold; minimized the full table"
+    note = "" if sound else "the saturation premises do not hold; counted the full table's classes"
     return nerode_partition(built).class_count, note
 
 

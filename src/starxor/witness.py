@@ -59,7 +59,7 @@ def verify_witness(
     n2: int,
     cap_states: int = DEFAULT_STATE_CAP,
 ) -> ExperimentReport:
-    """Build the witness star-of-xor, minimize, compare with the prediction."""
+    """Build the witness star-of-xor, count its classes, compare with the prediction."""
     return size_report(
         "verify-witness", n1, n2, "witness", lambda: witness_pair(n1, n2), cap_states
     )

@@ -541,6 +541,129 @@ def test_stability_check_holds_no_table_of_the_representatives(monkeypatch):
     assert peak + part.class_count * width * 2 > bound
 
 
+def unstable_by_state(a: Dfa, final: np.ndarray, class_of: np.ndarray, reps: np.ndarray) -> list[int]:
+    """The states whose finality or successor classes differ from their
+    representative's, compared one state at a time in plain Python."""
+    rows, classes = a.delta.tolist(), class_of.tolist()
+    bad = []
+    for q, row in enumerate(rows):
+        r = int(reps[classes[q]])
+        if final[q] != final[r] or [classes[t] for t in row] != [classes[t] for t in rows[r]]:
+            bad.append(q)
+    return bad
+
+
+def numbered(class_of: np.ndarray, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """The partition into equal labels of class_of, classes numbered 0, 1, ...
+    in label order, and a member of each class at random as representative."""
+    labels, class_of = np.unique(class_of, return_inverse=True)
+    reps = np.empty(len(labels), dtype=np.intp)
+    states = rng.permutation(len(class_of))
+    reps[class_of[states]] = states
+    return class_of.astype(np.int32), reps
+
+
+def stability_cases(a: Dfa, final: np.ndarray, rng: np.random.Generator):
+    """Named partitions of a's states, with the finality to check them
+    against: the Nerode partition and the discrete one, which are stable;
+    the Nerode partition with two classes merged, which is not, and, where
+    a has states past 1,024, with the two merged classes there; a final and
+    a nonfinal class merged; random labels; and the Nerode partition with
+    one state's finality flipped, which differs from its representative in
+    finality alone."""
+    part = nerode_partition(a)
+    nerode = numbered(rng.permutation(part.class_count)[part.class_of], rng)
+    yield "nerode", final, *nerode
+    yield "discrete", final, *numbered(rng.permutation(a.state_count), rng)
+
+    def merged(c1, c2):
+        return numbered(np.where(part.class_of == c2, c1, part.class_of), rng)
+
+    yield "two classes merged", final, *merged(*rng.choice(part.class_count, 2, replace=False))
+    late = np.flatnonzero(part.reps > 1024)
+    if len(late) >= 2:
+        yield "two late classes merged", final, *merged(*rng.choice(late, 2, replace=False))
+    rep_final = final[part.reps]
+    yield "final and nonfinal merged", final, *merged(
+        rng.choice(np.flatnonzero(rep_final)), rng.choice(np.flatnonzero(~rep_final))
+    )
+    yield "random labels", final, *numbered(rng.integers(0, 5, a.state_count), rng)
+    class_of, reps = nerode
+    flipped = final.copy()
+    flipped[rng.choice(np.setdiff1d(np.arange(a.state_count), reps))] ^= True
+    yield "one finality flipped", flipped, class_of, reps
+
+
+def check_block_ends(n: int, first: int, step: int) -> list[int]:
+    """Where the blocks of a check that stops early end: first rows, then
+    twice as many each time, up to step."""
+    ends, rows = [], first
+    while not ends or ends[-1] < n:
+        ends.append(min(n, (ends[-1] if ends else 0) + rows))
+        rows = min(2 * rows, step)
+    return ends
+
+
+@functools.cache
+def stability_tables() -> list[tuple[str, Dfa]]:
+    tables = []
+    for n1, n2 in [(3, 3), (3, 4), (4, 3), (4, 4)]:
+        pair = witness_pair(n1, n2)
+        saturate = functools.partial(saturate_masks, n1=n1, n2=n2)
+        tables.append((f"witness ({n1},{n2}) quotient", stx(*pair, normalize=saturate)))
+    # 2,176 states: partitions whose first unstable state lies past 1,024
+    tables.append(("witness (3,4) subset table", stx(*witness_pair(3, 4))))
+    return tables
+
+
+@pytest.mark.parametrize(
+    "block_entries, first_rows",
+    [(automata.BLOCK_ENTRIES, automata.FIRST_CHECK_ROWS), (16 * 17 * 100, 16)],
+    ids=["default blocks", "16 rows doubling to 100"],
+)
+def test_stability_check_matches_the_state_by_state_oracle(monkeypatch, block_entries, first_rows):
+    # in both modes: the verdict, the unstable states in state order, and
+    # the rows gathered (got and want gather the same rows), all of them in
+    # a stall's check, and up to the end of the block that holds the first
+    # unstable state in one that stops early
+    monkeypatch.setattr(automata, "BLOCK_ENTRIES", block_entries)
+    monkeypatch.setattr(automata, "FIRST_CHECK_ROWS", first_rows)
+    gathered, take = [], np.take
+
+    def counted(values, indices, *args, **kwargs):
+        gathered.append(len(indices))
+        return take(values, indices, *args, **kwargs)
+
+    def check(*args):
+        gathered.clear()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(np, "take", counted)
+            return automata._is_stable(*args), sum(gathered)
+
+    rng = np.random.default_rng(34)
+    seen = set()
+    for table, a in stability_tables():
+        n, step = a.state_count, automata.block_rows(16 * a.letter_count)
+        is_final = np.zeros(n, dtype=bool)
+        is_final[a.finals] = True
+        ends = check_block_ends(n, min(first_rows, step), step)
+        for case, final, class_of, reps in stability_cases(a, is_final, rng):
+            bad = unstable_by_state(a, final, class_of, reps)
+            seen.add((case, bool(bad), bad[0] > 1024 if bad else None))
+            stable, early = check(a, final, class_of, reps)
+            found = []
+            stable_too, every = check(a, final, class_of, reps, found)
+            assert stable == stable_too == (not bad), (table, case)
+            assert (np.concatenate(found).tolist() if found else []) == bad, (table, case)
+            assert every == 2 * n, (table, case)
+            assert early == 2 * (next(end for end in ends if end > bad[0]) if bad else n), (table, case)
+    assert ("nerode", False, None) in seen and ("discrete", False, None) in seen
+    assert ("two late classes merged", True, True) in seen
+    assert ("two classes merged", True, False) in seen
+    assert ("final and nonfinal merged", True, False) in seen
+    assert ("one finality flipped", True, False) in seen
+
+
 @pytest.mark.parametrize("base", [0, 1, 2])
 def test_hashed_round_separates_rows_that_differ_in_top_bytes(base):
     # 31 letters: a row is 32 uint8 colours in four words, and the successor

@@ -2,8 +2,12 @@
 
 import functools
 import itertools
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -380,12 +384,13 @@ def test_dense_and_sorted_maps_agree_where_masks_reach_bit_21(monkeypatch):
     assert _tables(dense) == _reference_tables(a)
 
 
-def test_dense_map_costs_four_bytes_per_mask(monkeypatch):
+def test_dense_map_adds_no_traced_allocation(monkeypatch):
     # 2^20 masks of one letter, 362 of them reachable: beside what the sorted
-    # map's run allocates, the dense map adds one int32 per mask, holds its
-    # image tables as int32 instead of int64, and saves four bytes on each
-    # entry of the mask queue's first block, also int32 instead of int64;
-    # 64 KiB covers the interpreter's own objects
+    # map's run allocates, the dense map's run holds its image tables as
+    # int32 instead of int64 and saves four bytes on each entry of the mask
+    # queue's first block, also int32 instead of int64; the map itself is a
+    # mapping, not a numpy allocation, so nothing else differs. 64 KiB
+    # covers the interpreter's own objects
     def peak() -> int:
         tracemalloc.start()
         try:
@@ -402,8 +407,39 @@ def test_dense_map_costs_four_bytes_per_mask(monkeypatch):
     sparse_tables, width = modifiers._image_tables(cycle, np.int64)
     assert width == 10
     sparse = peak()
-    extra = 4 * 2**20 + dense_tables.nbytes - sparse_tables.nbytes - 4 * automata.block_rows(1)
+    extra = dense_tables.nbytes - sparse_tables.nbytes - 4 * automata.block_rows(1)
     assert abs(dense - sparse - extra) < 2**16
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from procfs")
+def test_dense_map_backs_only_the_pages_it_writes():
+    # the 22-bit dense map spans 16 MiB, but a sparse search writes a few of
+    # its pages (it grew the peak by 16 MiB when np.full filled the map).
+    # Measured in a fresh process, whose peak no earlier test has raised,
+    # as the high-water mark of its own address space (VmHWM): a child's
+    # ru_maxrss would not do, since Linux starts it at the high-water mark
+    # of the address space it was exec'd from, here the test run's
+    tests = Path(__file__).resolve().parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(tests.parent / "src"), str(tests)]))
+    code = (
+        "import helpers\n"
+        "from starxor import star_modifier\n"
+        "def peak_kib():\n"
+        "    with open('/proc/self/status') as status:\n"
+        "        return next(int(line.split()[1]) for line in status if line.startswith('VmHWM:'))\n"
+        "star_modifier(helpers.cycle_dfa(3))\n"
+        "cycle = helpers.cycle_dfa(22)\n"
+        "before = peak_kib()\n"
+        "states = star_modifier(cycle).state_count\n"
+        "print(states, peak_kib() - before)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60, check=True
+    )
+    states, grown_kib = map(int, proc.stdout.split())
+    assert modifiers._mask_dtype(22) is np.int32
+    assert states == 442
+    assert grown_kib < 4 * 1024
 
 
 def test_unique_first_is_np_unique():

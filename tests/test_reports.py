@@ -13,6 +13,7 @@ grid size (saturation_normalizer); the two give the same tables.
 """
 
 import functools
+import itertools
 
 import numpy as np
 import pytest
@@ -30,12 +31,13 @@ from starxor import (
     xor_modifier,
 )
 from starxor import automata, reports, tableaux
+from starxor.experiments import sweep_reports
 from starxor.modifiers import saturation_premises_hold
 from starxor.reports import measure_stx
 from starxor.tableaux import saturate_masks, saturation_table
 
 WITNESS_SIZES = [(2, 2), (2, 3), (3, 2), (3, 3), (4, 3), (3, 4), (4, 4), (5, 4), (2, 8)]
-FULL_TABLE_NOTE = "the saturation premises do not hold; minimized the full table"
+FULL_TABLE_NOTE = "the saturation premises do not hold; counted the full table's classes"
 # the three zones of the xor product's cells, from the operands' final flags
 ZONES = {"xor": np.not_equal, "union": np.logical_or, "intersection": np.logical_and}
 
@@ -213,7 +215,8 @@ def test_the_target_monster_quotient_at_4_3():
 
 def test_a_partition_that_is_not_a_congruence_leaves_the_full_table(monkeypatch):
     # the premise check refuses exactly when the saturation classes are not
-    # a congruence; a refusal builds and minimizes the full table, and says so
+    # a congruence; a refusal builds the full table, counts its classes and
+    # says so
     pair = monster2(MonsterSpec.pair(3, 3, {2}, {0}))
     checked, built = [], []
 
@@ -276,6 +279,56 @@ def test_measure_stx_minimizes_the_quotient_not_the_table(monkeypatch):
     monkeypatch.setattr(automata, "accessible_part", unused)
     assert measure_stx(lambda: witness_pair(4, 3), 2**22) == (212, "")
     assert sizes == [213]
+
+
+# (states refined, classes, rounds) of the one refinement each measurement
+# runs: the witness sizes and, in sweep order, the (3,3) sweep's 12
+# constructions
+REFINEMENTS = {
+    (2, 2): [(9, 8, 1)],
+    (2, 3): [(21, 20, 2)],
+    (2, 4): [(51, 50, 3)],
+    (2, 5): [(129, 128, 4)],
+    (3, 2): [(21, 20, 2)],
+    (3, 3): [(67, 66, 3)],
+    (3, 4): [(213, 212, 3)],
+    (3, 5): [(691, 690, 5)],
+    (4, 2): [(51, 50, 3)],
+    (4, 3): [(213, 212, 3)],
+    (4, 4): [(849, 848, 4)],
+    (4, 5): [(3369, 3368, 5)],
+    (5, 2): [(129, 128, 4)],
+    (5, 3): [(691, 690, 5)],
+    (5, 4): [(3369, 3368, 5)],
+    (5, 5): [(15931, 15930, 7)],
+    "sweep (3,3)": [
+        (10, 2, 1), (19, 3, 1), (64, 6, 1), (51, 5, 1), (47, 5, 1), (44, 1, 1),
+        (26, 26, 1), (67, 66, 1), (51, 51, 1), (59, 58, 1), (57, 57, 1), (59, 58, 1),
+    ],
+}
+
+
+def test_class_counts_and_rounds_are_pinned(monkeypatch):
+    # how a stability check walks its blocks changes no partition and no
+    # round count
+    seen = []
+    refine = reports.nerode_partition
+
+    def counted(a):
+        part = refine(a)
+        seen.append((a.state_count, part.class_count, part.rounds))
+        return part
+
+    monkeypatch.setattr(reports, "nerode_partition", counted)
+    got = {}
+    for n1, n2 in itertools.product(range(2, 6), repeat=2):
+        seen.clear()
+        measure_stx(lambda: witness_pair(n1, n2), 2**22)
+        got[n1, n2] = list(seen)
+    seen.clear()
+    sweep_reports(3, 3, jobs=1)
+    got["sweep (3,3)"] = seen
+    assert got == REFINEMENTS
 
 
 @pytest.mark.parametrize(
