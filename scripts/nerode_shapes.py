@@ -25,13 +25,11 @@ process's peak, which the larger shapes raise to hundreds of MB. Equal
 digests mean equal operands, quotient tables and partitions, so two
 source trees can be compared kernel for kernel, and the build column
 compares their memory: --src imports `starxor` from another tree's `src`
-directory (default: this one's). Older trees differ in three ways, read off their signatures: a
-tree without `saturation_normalizer` saturates with the kernel; a
-normalizer that takes a letter count gets the operands'; and a check that
-takes a saturation gets the one picked. Where a tree has no premise
-check, or its check refuses, the check columns print `-` or `no` and the
-build is the full subset table, which `nerode_partition` then runs on, as
-`measure_stx` does.
+directory (default: this one's), which must have
+`saturation_premises_hold(product, n1, n2)` and
+`saturation_normalizer(n1, n2)`. Where the check refuses, the premises
+column prints `no` and the build is the full subset table, which
+`nerode_partition` then runs on, as `measure_stx` does.
 
 The shapes: the witness at (5,4), the witness-deep benchmark's operands,
 at (4,4) and at (2,8), a grid eight columns wide; the (3,3) monster of two
@@ -52,7 +50,6 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
-import inspect
 import subprocess
 import sys
 import time
@@ -91,13 +88,6 @@ def main(argv: list[str] | None = None) -> int:
     )
     from starxor.tableaux import saturate_masks
 
-    check_premises = getattr(modifiers, "saturation_premises_hold", None)
-    pick = getattr(reports, "saturation_normalizer", None)
-    # older trees: a check that takes the saturation, a pick by letter count
-    check_takes_saturation = check_premises is not None and (
-        len(inspect.signature(check_premises).parameters) > 3
-    )
-    pick_takes_letters = pick is not None and len(inspect.signature(pick).parameters) > 2
     shapes = [
         ("witness (5,4)", lambda: witness_pair(5, 4)),
         ("witness (4,4)", lambda: witness_pair(4, 4)),
@@ -108,19 +98,15 @@ def main(argv: list[str] | None = None) -> int:
         ("full monster (4,4)", lambda: monster2(MonsterSpec.pair(4, 4, {3}, {0}))),
     ]
 
-    def saturation(n1, n2, letters):
-        if pick is None:
-            return functools.partial(saturate_masks, n1=n1, n2=n2)
-        return pick(*((n1, n2, letters) if pick_takes_letters else (n1, n2)))
+    pick = reports.saturation_normalizer
 
     def builder(saturate, holds):
-        # a tree without the check has no normalize argument either
         return functools.partial(stx, normalize=saturate) if holds else stx
 
     if args.build_rss is not None:
         first, second = shapes[args.build_rss][1]()
         n1, n2 = first.state_count, second.state_count
-        build = builder(saturation(n1, n2, first.letter_count), args.holds)
+        build = builder(pick(n1, n2), args.holds)
         before = peak_kib()
         build(first, second)
         print(peak_kib() - before)
@@ -155,20 +141,9 @@ def main(argv: list[str] | None = None) -> int:
         (first, second), operands_best = fastest(operands)
         n1, n2 = first.state_count, second.state_count
         product = xor_modifier(first, second)
-        if pick is None:
-            saturate, pick_best = saturation(n1, n2, first.letter_count), None
-        else:
-            clear = getattr(pick, "cache_clear", lambda: None)
-            grid = (n1, n2, first.letter_count)
-            saturate, pick_best = fastest(lambda: clear() or saturation(*grid))
-        if check_takes_saturation:
-            check = lambda: check_premises(product, n1, n2, saturate)
-        else:
-            check = lambda: check_premises(product, n1, n2)
+        saturate, pick_best = fastest(lambda: pick.cache_clear() or pick(n1, n2))
         route = "kernel" if isinstance(saturate, functools.partial) else "table"
-        holds, check_best = False, None
-        if check_premises is not None:
-            holds, check_best = fastest(check)
+        holds, check_best = fastest(lambda: modifiers.saturation_premises_hold(product, n1, n2))
         build = builder(saturate, holds)
         built, build_best = fastest(lambda: build(first, second))
         part, nerode_best = fastest(lambda: nerode_partition(built))
@@ -176,9 +151,7 @@ def main(argv: list[str] | None = None) -> int:
             f"| {name} | {operands_best * 1e3:.2f} "
             f"| {digest(first.delta, first.finals, second.delta, second.finals)} "
             f"| {route if holds else '-'} "
-            f"| {'-' if pick_best is None else f'{pick_best * 1e3:.2f}'} "
-            f"| {'-' if check_best is None else f'{check_best * 1e3:.1f}'} "
-            f"| {'-' if check_best is None else 'yes' if holds else 'no'} "
+            f"| {pick_best * 1e3:.2f} | {check_best * 1e3:.1f} | {'yes' if holds else 'no'} "
             f"| {build_best * 1e3:.1f} | {digest(built.delta, built.state_masks)} "
             f"| {built.state_count:,} | {built.letter_count:,} | {build_growth(index, holds):,} "
             f"| {nerode_best * 1e3:.1f} | {part.rounds} | {part.class_count:,} "

@@ -62,7 +62,7 @@ def _add_export(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--what", choices=EXPORT_WHATS, required=True)
     parser.add_argument("--format", choices=EXPORT_FORMATS, required=True)
     parser.add_argument("--out", required=True)
-    # None where not given, so _check_usage can tell an unused option apart
+    # None where not given, so export_artifact can tell an unused option apart
     parser.add_argument("--n1", type=int)
     parser.add_argument("--n2", type=int)
     parser.add_argument("--max-x", type=int)
@@ -130,12 +130,8 @@ def _cmd_verify_figures(args: argparse.Namespace) -> int:
 
 
 def _cmd_export(args: argparse.Namespace) -> int:
-    # a bound not given keeps export_artifact's default
-    bounds = {
-        name: getattr(args, name) for name in ("max_x", "max_y") if getattr(args, name) is not None
-    }
-    message = export_artifact(args.what, args.format, args.out, n1=args.n1, n2=args.n2, **bounds)
-    print(message)
+    options = {name: getattr(args, name) for name in ("n1", "n2", "max_x", "max_y")}
+    print(export_artifact(args.what, args.format, args.out, **options))
     return 0
 
 
@@ -149,26 +145,8 @@ _SUBCOMMANDS = {
 }
 
 
-def _check_export_options(args: argparse.Namespace) -> None:
-    """Reject the options the artifact would ignore, and negative bounds."""
-    ignored = [
-        flag
-        for flag, value, used_by in (
-            ("--n1", args.n1, "witness-pair"),
-            ("--n2", args.n2, "witness-pair"),
-            ("--max-x", args.max_x, "alpha-table"),
-            ("--max-y", args.max_y, "alpha-table"),
-        )
-        if value is not None and args.what != used_by
-    ]
-    if ignored:
-        raise ValueError(f"--what {args.what} ignores {' and '.join(ignored)}")
-    if min(args.max_x or 0, args.max_y or 0) < 0:
-        raise ValueError("--max-x and --max-y must be at least 0")
-
-
 def _check_usage(args: argparse.Namespace) -> None:
-    """Reject bad sizes, worker counts, caps, bounds and output paths before any work starts."""
+    """Reject bad sizes, worker counts, caps and output paths before any work starts."""
     if args.subcommand in ("sc", "sweep-finals"):
         if min(args.cap_states, args.cap_letters) < 1:
             raise ValueError("--cap-states and --cap-letters must be at least 1")
@@ -178,8 +156,6 @@ def _check_usage(args: argparse.Namespace) -> None:
             raise ValueError("--n1 and --n2 must be at least 2 when the witness runs")
     if args.subcommand == "sweep-finals" and args.jobs < 1:
         raise ValueError("--jobs must be at least 1")
-    if args.subcommand == "export":
-        _check_export_options(args)
     for path in (getattr(args, name, None) for name in ("report", "csv", "out")):
         if not path:
             continue

@@ -339,7 +339,13 @@ def figure_reports() -> list[ExperimentReport]:
     return out
 
 
-EXPORT_WHATS = (*REFERENCES, "witness-pair", "alpha-table")
+# the options each artifact reads; export_artifact refuses the others
+_EXPORT_OPTIONS = {
+    **dict.fromkeys(REFERENCES, ()),
+    "witness-pair": ("n1", "n2"),
+    "alpha-table": ("max_x", "max_y"),
+}
+EXPORT_WHATS = tuple(_EXPORT_OPTIONS)
 EXPORT_FORMATS = ("dot", "json", "csv")
 
 
@@ -349,17 +355,33 @@ def export_artifact(
     out: str,
     n1: int | None = None,
     n2: int | None = None,
-    max_x: int = 4,
-    max_y: int = 4,
+    max_x: int | None = None,
+    max_y: int | None = None,
 ) -> str:
-    """Write one artifact to a file; returns a short description of what went out."""
+    """Write one artifact to a file; returns a short description of what went out.
+
+    An option given (not None) that the artifact does not read, or a
+    negative bound, is refused with ValueError before out is opened. The
+    alpha table's bounds default to 4.
+    """
     if what not in EXPORT_WHATS:
         raise ValueError(f"what must be one of {EXPORT_WHATS}")
     if fmt not in EXPORT_FORMATS:
         raise ValueError(f"format must be one of {EXPORT_FORMATS}")
+    options = {"n1": n1, "n2": n2, "max_x": max_x, "max_y": max_y}
+    ignored = [
+        "--" + name.replace("_", "-")
+        for name, value in options.items()
+        if value is not None and name not in _EXPORT_OPTIONS[what]
+    ]
+    if ignored:
+        raise ValueError(f"--what {what} ignores {' and '.join(ignored)}")
+    if min(max_x or 0, max_y or 0) < 0:
+        raise ValueError("--max-x and --max-y must be at least 0")
     if what == "alpha-table":
         if fmt != "csv":
             raise ValueError("the alpha table only exports as csv")
+        max_x, max_y = (4 if bound is None else bound for bound in (max_x, max_y))
         rows = 0
         with open(out, "w", newline="") as handle:
             writer = csv.writer(handle)

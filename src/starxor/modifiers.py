@@ -102,13 +102,13 @@ def _mask_dtype(n: int) -> type:
     return np.int32 if 1 << n <= TABLE_ENTRIES else np.int64
 
 
-def _star_images(a: Dfa, dtype: type) -> tuple[Callable[..., np.ndarray], int]:
+def _star_images(a: Dfa, dtype: type) -> tuple[Callable[[np.ndarray], np.ndarray], int]:
     """The star's step on subset masks of a's states, and the mask of a's finals.
 
-    images(masks, letters=slice(None)) is the (len(masks), letters) array of
-    the successor masks under the letters in the slice: the empty set moves
-    as {initial} does, any other E to f(E), and the initial state joins an
-    image that meets a's finals. Masks and images are held as dtype.
+    images(masks) is the (len(masks), letters) array of the successor masks
+    under every letter: the empty set moves as {initial} does, any other E
+    to f(E), and the initial state joins an image that meets a's finals.
+    Masks and images are held as dtype.
     LimitExceeded is raised if a has more than MAX_OPERAND_STATES states.
     """
     tables, width = _image_tables(a, dtype)
@@ -116,11 +116,11 @@ def _star_images(a: Dfa, dtype: type) -> tuple[Callable[..., np.ndarray], int]:
     ibit = dtype(1 << a.initial)
     chunk = dtype((1 << width) - 1)
 
-    def images(masks: np.ndarray, letters: slice = slice(None)) -> np.ndarray:
+    def images(masks: np.ndarray) -> np.ndarray:
         masks = np.where(masks == 0, ibit, masks)
-        out = np.take(tables[0][:, letters], masks & chunk, axis=0)
+        out = np.take(tables[0], masks & chunk, axis=0)
         for c in range(1, len(tables)):
-            out |= np.take(tables[c][:, letters], (masks >> (width * c)) & chunk, axis=0)
+            out |= np.take(tables[c], (masks >> (width * c)) & chunk, axis=0)
         return out
 
     return images, fmask

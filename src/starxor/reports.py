@@ -71,10 +71,12 @@ class ExperimentReport:
 
 
 # Grids of at most this many cells (2^16 masks, 256 KB) saturate by a lookup
-# in saturation_table, larger ones with saturate_masks. Table build + gathers
-# against kernel in one quotient build (fastest of 5, 2-vCPU Xeon): witness
-# (4,4) 0.92 vs 0.80 ms, full (4,4) monster 1.08 vs 3.84 ms; past 16 cells the
-# build alone loses: witness (2,9) 1.53 vs 0.64 ms, witness (5,4) 19.8 vs 2.2 ms.
+# in saturation_table, larger ones with saturate_masks. On one witness
+# measure_stx, table built inside, the table wins up to 12 cells and loses
+# from 15: (4,3) 1.03 vs 1.29 ms, (4,4) 2.79 vs 2.20 ms (fastest of 7, 2-vCPU
+# host). 16 holds because a sweep builds the table once: a warm (3,3) sweep
+# took 21.2-23.7 ms with it, 24.9-27.9 ms without (README, "The saturation
+# quotient"). Past 16 cells the build alone loses: witness (5,4) 19.8 vs 2.2 ms.
 TABLE_CELLS = 16
 
 

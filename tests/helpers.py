@@ -581,8 +581,8 @@ def premises_by_image_tables(product: Dfa, n1: int, n2: int) -> bool:
 
     The oracle for the grid check, and for premises_by_letter_images, which
     ORs the three cells' steps read from delta: here each triangle's and
-    corner's step comes from the
-    chunked per-letter subset-image tables that star_modifier searches with
+    corner's step under every letter comes at once from the chunked
+    per-letter subset-image tables that star_modifier searches with
     (modifiers._star_images), and every image goes through saturate_masks.
     """
     n = n1 * n2
@@ -597,13 +597,8 @@ def premises_by_image_tables(product: Dfa, n1: int, n2: int) -> bool:
     corners = bit[x2 * n2 + y2]
     if (((corners & fmask) != 0) & ((triangles & fmask) == 0)).any():
         return False
-    step = block_rows(len(corners))
-    for lo in range(0, product.letter_count, step):
-        letters = slice(lo, lo + step)
-        sat = saturate_masks(images(triangles, letters).reshape(-1), n1, n2)
-        if (images(corners, letters).reshape(-1) & ~sat).any():
-            return False
-    return True
+    sat = saturate_masks(images(triangles).reshape(-1), n1, n2)
+    return not (images(corners).reshape(-1) & ~sat).any()
 
 
 def premises_by_letter_images(

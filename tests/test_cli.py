@@ -282,7 +282,7 @@ ALPHA = ["export", "--what", "alpha-table", "--format", "csv", "--out", "{out}"]
         ([*ALPHA, "--jobs", "2"], "unrecognized arguments"),
         ([*ALPHA, "--cap-states", "5"], "unrecognized arguments"),
         ([*ALPHA, "--cap-letters", "5"], "unrecognized arguments"),
-        # argparse knows these export options; _check_usage rejects them
+        # argparse knows these export options; export_artifact rejects them
         # where the artifact would ignore them
         ([*ALPHA, "--n1", "9", "--n2", "9"], "export error: --what alpha-table ignores --n1 and --n2"),
         ([*ALPHA, "--n2", "3", "--max-x", "5"], "export error: --what alpha-table ignores --n2"),

@@ -16,7 +16,7 @@ from starxor import (
     reports,
     stx,
 )
-from starxor.experiments import full_monster_report, orbit_key, sweep_reports
+from starxor.experiments import export_artifact, full_monster_report, orbit_key, sweep_reports
 from starxor.reports import measure_stx, verdict
 
 
@@ -207,3 +207,28 @@ def test_transition_cap_and_mask_limit_give_skipped_verdicts(
     assert measured is None
     assert named in note
     assert verdict(measured, 67) == "skipped"
+
+
+@pytest.mark.parametrize(
+    "what, fmt, options, error",
+    [
+        ("alpha-table", "csv", {"max_x": -2}, "--max-x and --max-y must be at least 0"),
+        ("witness-pair", "json", {"n1": 3, "n2": 3, "max_x": 2}, "--what witness-pair ignores --max-x"),
+        ("star-monster", "dot", {"n1": 3}, "--what star-monster ignores --n1"),
+    ],
+    ids=["negative-max-x", "witness-pair-max-x", "figure-n1"],
+)
+def test_export_artifact_refuses_what_the_cli_refuses(tmp_path, what, fmt, options, error):
+    # the library, not only the CLI, refuses an option the artifact would
+    # ignore and a negative bound, with the CLI's text and before opening out
+    out = tmp_path / "artifact"
+    with pytest.raises(ValueError) as refused:
+        export_artifact(what, fmt, str(out), **options)
+    assert str(refused.value) == error
+    assert not out.exists()
+
+
+def test_export_artifact_bounds_the_alpha_table_at_4_by_default(tmp_path):
+    out = tmp_path / "alpha.csv"
+    assert export_artifact("alpha-table", "csv", str(out)) == f"wrote 25 alpha-table rows to {out}"
+    assert len(out.read_text().splitlines()) == 1 + 25

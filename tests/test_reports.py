@@ -22,6 +22,7 @@ import helpers
 from starxor import (
     Dfa,
     MonsterSpec,
+    final_zone,
     minimize,
     monster2,
     predicted_complexity,
@@ -211,6 +212,32 @@ def test_the_target_monster_quotient_at_4_3():
     m = minimize(direct_quotient(pair))
     assert m == minimize(s)
     assert m.state_count == 212
+
+
+@pytest.mark.parametrize(
+    "shape, n1, n2",
+    [
+        *(("witness", n1, n2) for n1, n2 in
+          [(2, 2), (3, 3), (4, 3), (3, 4), (4, 4), (5, 4), (4, 5), (2, 5), (5, 2)]),
+        ("target-monster", 3, 3),
+        ("target-monster", 4, 3),
+    ],
+)
+def test_the_quotient_reaches_the_saturated_corner_seeded_tableaux(shape, n1, n2):
+    # criterion 6 lifted to the quotient, with no full table: at the target
+    # finals the witness's and the monster's quotient masks are exactly the
+    # saturated masks that hold the corner (bit 0, the seed cell) or avoid
+    # the zone, the empty mask among them
+    if shape == "target-monster":
+        first, second = monster2(MonsterSpec.pair(n1, n2, {n1 - 1}, {0}))
+    else:
+        first, second = witness_pair(n1, n2)
+    quotient = stx(first, second, normalize=reports.saturation_normalizer(n1, n2))
+    zone = final_zone(n1, n2, first.finals, second.finals).zone
+    masks = np.arange(1 << (n1 * n2), dtype=np.int64)
+    tableaux = masks[saturate_masks(masks, n1, n2) == masks]
+    expected = tableaux[(tableaux & 1 == 1) | (tableaux & zone == 0)]
+    assert np.array_equal(np.sort(quotient.state_masks), expected)
 
 
 def test_a_partition_that_is_not_a_congruence_leaves_the_full_table(monkeypatch):
