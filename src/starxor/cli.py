@@ -146,16 +146,11 @@ _SUBCOMMANDS = {
 
 
 def _check_usage(args: argparse.Namespace) -> None:
-    """Reject bad sizes, worker counts, caps and output paths before any work starts."""
-    if args.subcommand in ("sc", "sweep-finals"):
-        if min(args.cap_states, args.cap_letters) < 1:
-            raise ValueError("--cap-states and --cap-letters must be at least 1")
-        if min(args.n1, args.n2) < 1:
-            raise ValueError("--n1 and --n2 must be at least 1")
-        if getattr(args, "method", None) in ("witness", "all") and min(args.n1, args.n2) < 2:
-            raise ValueError("--n1 and --n2 must be at least 2 when the witness runs")
-    if args.subcommand == "sweep-finals" and args.jobs < 1:
-        raise ValueError("--jobs must be at least 1")
+    """Reject output paths that cannot be written before any work starts.
+
+    Sizes, caps and worker counts are the library's to refuse: sc_reports,
+    sweep_reports and export_artifact do, with the same ValueError texts.
+    """
     for path in (getattr(args, name, None) for name in ("report", "csv", "out")):
         if not path:
             continue

@@ -46,7 +46,7 @@ def full_monster_report(
 ) -> ExperimentReport:
     """Minimal star-of-xor size over the full pair alphabet, with target finals."""
     return size_report(
-        "sc", n1, n2, "full-monster",
+        n1, n2, "full-monster",
         lambda: monster2(MonsterSpec.pair(n1, n2, {n1 - 1}, {0}), cap_letters=cap_letters),
         cap_states,
     )
@@ -57,7 +57,14 @@ def witness_report(
     n2: int,
     cap_states: int = DEFAULT_STATE_CAP,
 ) -> ExperimentReport:
-    return replace(verify_witness(n1, n2, cap_states=cap_states), command="sc")
+    return verify_witness(n1, n2, cap_states=cap_states)
+
+
+def _check_run(n1: int, n2: int, cap_states: int, cap_letters: int) -> None:
+    if min(cap_states, cap_letters) < 1:
+        raise ValueError("--cap-states and --cap-letters must be at least 1")
+    if min(n1, n2) < 1:
+        raise ValueError("--n1 and --n2 must be at least 1")
 
 
 def sc_reports(
@@ -67,9 +74,16 @@ def sc_reports(
     cap_states: int = DEFAULT_STATE_CAP,
     cap_letters: int = DEFAULT_LETTER_CAP,
 ) -> list[ExperimentReport]:
-    """Reports for one size point; method all adds a pairwise agreement report."""
+    """Reports for one size point; method all adds a pairwise agreement report.
+
+    Bad arguments are refused with ValueError before any work: caps below 1,
+    sizes below 1, and sizes below 2 when the witness runs.
+    """
     if method not in SC_METHODS:
         raise ValueError(f"method must be one of {SC_METHODS}")
+    _check_run(n1, n2, cap_states, cap_letters)
+    if method in ("witness", "all") and min(n1, n2) < 2:
+        raise ValueError("--n1 and --n2 must be at least 2 when the witness runs")
     if method == "formula":
         return [formula_report(n1, n2)]
     if method == "full-monster":
@@ -163,7 +177,12 @@ def sweep_reports(
     is the same at every pair of an orbit; it is each row's predicted value,
     an upper bound for the measured size. A letter cap skips every row.
     The summary asserts the overall maximum is attained at ({n1-1}, {0}).
+    Caps or sizes below 1, and jobs below 1, are refused with ValueError
+    before any work.
     """
+    _check_run(n1, n2, cap_states, cap_letters)
+    if jobs < 1:
+        raise ValueError("--jobs must be at least 1")
     t0 = time.perf_counter()
     pairs = [(f1, f2) for f1 in _subsets(n1) for f2 in _subsets(n2)]
     representatives: dict[tuple, tuple] = {}

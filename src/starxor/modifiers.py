@@ -147,10 +147,9 @@ def star_modifier(
     masks that stand for them, before they are numbered, so the search runs
     over the empty set and normalized masks only. The result accepts L(a)*
     only where normalize is compatible with the step: measure_stx passes
-    saturation, and uses the result only once saturation_premises_hold
-    shows that it is. With normalize=None the tables are exactly those
-    without it. full=True takes no normalize (ValueError): every mask would
-    be a state already.
+    saturation only once saturation_premises_hold shows that it is. With
+    normalize=None the tables are exactly those without it. full=True takes
+    no normalize (ValueError): every mask would be a state already.
 
     The dense map (below) memoizes normalize: it hands it each image mask
     once per construction, the first time that mask is seen, and reads the
@@ -186,8 +185,6 @@ def star_modifier(
             )
 
     count = 1 << n if full else 1
-    if full and count > cap_states:
-        raise LimitExceeded(f"2^{n} subset states exceed the cap of {cap_states}")
     check_caps(count)
 
     step = block_rows(letters)
@@ -377,10 +374,11 @@ def saturation_premises_hold(product: Dfa, n1: int, n2: int) -> bool:
     rows, cols = np.divmod(product.delta.reshape(n1, n2, product.letter_count), n2)
     if not ((rows == rows[:, :1]).all() and (cols == cols[:1]).all()):
         return False
-    # (b): with x = x' or y = y' the corner is one of the three cells, so
-    # every (x, x', y, y') is tested at once
+    # (b) fails at rows x, x' exactly when a column y' has (x', y') final and
+    # (x, y') not, and a column y has neither final (x != x', y != y' follow);
+    # n1 x n1 x n2 booleans, as measure_stx checks grids that stx then refuses
     final = np.zeros(n, dtype=bool)
     final[product.finals] = True
     final = final.reshape(n1, n2)
-    met = final[:, None, :, None] | final[:, None, None, :] | final[None, :, :, None]
-    return not (final[None, :, None, :] & ~met).any()
+    nonfinal = ~final[:, None]
+    return not ((nonfinal & final).any(2) & (nonfinal & ~final).any(2)).any()

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import functools
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any, Callable
 
 import numpy as np
@@ -42,16 +42,9 @@ class ExperimentReport:
             raise ValueError(f"verdict must be one of {VERDICTS}")
 
     def as_dict(self) -> dict[str, Any]:
-        out: dict[str, Any] = {
-            "command": self.command,
-            "parameters": dict(self.parameters),
-            "measured": self.measured,
-            "predicted": self.predicted,
-            "verdict": self.verdict,
-            "wall_time_ms": self.wall_time_ms,
-        }
-        if self.note:
-            out["note"] = self.note
+        out = asdict(self)
+        if not self.note:
+            del out["note"]
         return out
 
     def summary_line(self) -> str:
@@ -107,27 +100,23 @@ def measure_stx(
     unless the premise check refused the quotient and the full table's
     classes were counted instead, which it then says.
 
-    The size is that of the saturation quotient, built directly: stx runs
-    its breadth-first search over saturated masks only (normalize=
-    saturation_normalizer(n1, n2), one saturation per grid), so cap_states
-    bounds the quotient's states. That size is returned only once this
-    run's operands pass the exact check of the saturation lemma's premises
-    (saturation_premises_hold, on their xor product), which makes the
-    quotient accept the same language as the full subset table, so it never
-    rests on the lemma, only on the check. When the check fails, the full
-    table is built instead. The check runs after the build, so a run that a
-    cap cuts short never pays for it. Every state of either table is
-    reachable, so its count of language classes (nerode_partition) is the
-    minimal size; no quotient is built.
+    The route is decided first, then one table is built: the saturation
+    quotient when this run's operands pass the exact check of the saturation
+    lemma's premises (saturation_premises_hold, on their xor product), the
+    full subset table when they do not. The quotient is built directly: stx
+    searches saturated masks only (normalize=saturation_normalizer(n1, n2),
+    one saturation per grid), so cap_states bounds the quotient's states.
+    The check makes it accept the language of the full table, so its size
+    rests on the check, never on the lemma alone. Every state of either
+    table is reachable, so its count of language classes (nerode_partition)
+    is the minimal size; no quotient of it is built.
     """
     try:
         first, second = build_pair()
         n1, n2 = first.state_count, second.state_count
-        built = stx(first, second, cap_states=cap_states, normalize=saturation_normalizer(n1, n2))
         sound = saturation_premises_hold(xor_modifier(first, second), n1, n2)
-        if not sound:
-            del built
-            built = stx(first, second, cap_states=cap_states)
+        normalize = saturation_normalizer(n1, n2) if sound else None
+        built = stx(first, second, cap_states=cap_states, normalize=normalize)
     except LimitExceeded as exc:
         return None, str(exc)
     note = "" if sound else "the saturation premises do not hold; counted the full table's classes"
@@ -152,7 +141,6 @@ def elapsed_ms(t0: float) -> float:
 
 
 def size_report(
-    command: str,
     n1: int,
     n2: int,
     method: str,
@@ -161,14 +149,15 @@ def size_report(
 ) -> ExperimentReport:
     """Report of the minimal star-of-xor size of build_pair() against predicted_complexity(n1, n2).
 
-    pass on equality, fail otherwise; skipped with the cap's message as note
+    The command is sc, whether the sc subcommand or verify_witness asks. pass
+    on equality, fail otherwise; skipped with the cap's message as note
     when measure_stx hits a cap. The wall time covers both numbers.
     """
     t0 = time.perf_counter()
     predicted = predicted_complexity(n1, n2)
     measured, note = measure_stx(build_pair, cap_states)
     return ExperimentReport(
-        command=command,
+        command="sc",
         parameters={"n1": n1, "n2": n2, "method": method},
         measured=measured,
         predicted=predicted,

@@ -60,6 +60,4 @@ def verify_witness(
     cap_states: int = DEFAULT_STATE_CAP,
 ) -> ExperimentReport:
     """Build the witness star-of-xor, count its classes, compare with the prediction."""
-    return size_report(
-        "verify-witness", n1, n2, "witness", lambda: witness_pair(n1, n2), cap_states
-    )
+    return size_report(n1, n2, "witness", lambda: witness_pair(n1, n2), cap_states)

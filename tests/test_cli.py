@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from starxor import import_json, sigma_prime
+from starxor import cli
 from starxor.cli import main
 
 REFERENCES = Path(__file__).resolve().parent / "references"
@@ -216,30 +217,66 @@ def test_export_rejects_unknown_artifact(tmp_path):
         main(["export", "--what", "nonsense", "--format", "dot", "--out", str(tmp_path / "x")])
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
+CAPS = "--cap-states and --cap-letters must be at least 1"
+SIZES = "--n1 and --n2 must be at least 1"
+BOUNDS = "--max-x and --max-y must be at least 0"
+IS_DIR = "{tmp} is a directory, not a file"
+EXPORT = ["export", "--what", "alpha-table", "--format", "csv", "--out"]
+# id: (argv, the one error on stderr, whether the library raises it); the
+# CLI itself refuses only output paths it cannot write
+USAGE_ERRORS = {
+    "witness-size": (
         ["sc", "--n1", "1", "--n2", "1"],
-        ["sc", "--n1", "0", "--n2", "2", "--method", "formula"],
-        ["sweep-finals", "--n1", "0", "--n2", "2"],
+        "--n1 and --n2 must be at least 2 when the witness runs",
+        True,
+    ),
+    "zero-size": (["sc", "--n1", "0", "--n2", "2", "--method", "formula"], SIZES, True),
+    "sweep-zero-size": (["sweep-finals", "--n1", "0", "--n2", "2"], SIZES, True),
+    "jobs": (
         ["sweep-finals", "--n1", "2", "--n2", "2", "--jobs", "0"],
+        "--jobs must be at least 1",
+        True,
+    ),
+    "report-dir": (
         ["sc", "--n1", "2", "--n2", "2", "--report", "{missing}/r.json"],
+        "the directory of {missing}/r.json does not exist",
+        False,
+    ),
+    "csv-dir": (
         ["sweep-finals", "--n1", "2", "--n2", "2", "--csv", "{missing}/rows.csv"],
-        ["export", "--what", "alpha-table", "--format", "csv", "--out", "{missing}/x.csv"],
+        "the directory of {missing}/rows.csv does not exist",
+        False,
+    ),
+    "out-dir": (
+        [*EXPORT, "{missing}/x.csv"],
+        "the directory of {missing}/x.csv does not exist",
+        False,
+    ),
+    "negative-cap-states": (
         ["sc", "--n1", "3", "--n2", "3", "--method", "witness", "--cap-states", "-5"],
+        CAPS,
+        True,
+    ),
+    "zero-cap-states": (
         ["sweep-finals", "--n1", "2", "--n2", "2", "--cap-states", "0"],
+        CAPS,
+        True,
+    ),
+    "zero-cap-letters": (
         ["sc", "--n1", "2", "--n2", "2", "--method", "full-monster", "--cap-letters", "0"],
-        ["export", "--what", "alpha-table", "--format", "csv", "--out", "{missing}", "--max-x", "-2"],
-        ["export", "--what", "alpha-table", "--format", "csv", "--out", "{missing}", "--max-y", "-1"],
-        ["sc", "--n1", "2", "--n2", "2", "--report", "{tmp}"],
-        ["sweep-finals", "--n1", "2", "--n2", "2", "--csv", "{tmp}"],
-        ["export", "--what", "alpha-table", "--format", "csv", "--out", "{tmp}"],
-    ],
-    ids=[
-        "witness-size", "zero-size", "sweep-zero-size", "jobs", "report-dir", "csv-dir",
-        "out-dir", "negative-cap-states", "zero-cap-states", "zero-cap-letters",
-        "negative-max-x", "negative-max-y", "report-is-dir", "csv-is-dir", "out-is-dir",
-    ],
+        CAPS,
+        True,
+    ),
+    "negative-max-x": ([*EXPORT, "{missing}", "--max-x", "-2"], BOUNDS, True),
+    "negative-max-y": ([*EXPORT, "{missing}", "--max-y", "-1"], BOUNDS, True),
+    "report-is-dir": (["sc", "--n1", "2", "--n2", "2", "--report", "{tmp}"], IS_DIR, False),
+    "csv-is-dir": (["sweep-finals", "--n1", "2", "--n2", "2", "--csv", "{tmp}"], IS_DIR, False),
+    "out-is-dir": ([*EXPORT, "{tmp}"], IS_DIR, False),
+}
+
+
+@pytest.mark.parametrize(
+    "argv", [argv for argv, _, _ in USAGE_ERRORS.values()], ids=list(USAGE_ERRORS)
 )
 def test_usage_errors_exit_2_before_any_work(argv, tmp_path, capsys):
     missing = tmp_path / "missing"
@@ -250,6 +287,33 @@ def test_usage_errors_exit_2_before_any_work(argv, tmp_path, capsys):
     assert len(captured.err.splitlines()) == 1
     assert captured.err.startswith(f"{argv[0]} error: ")
     assert not missing.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, error, by_library", list(USAGE_ERRORS.values()), ids=list(USAGE_ERRORS)
+)
+def test_a_usage_error_prints_the_one_error_exactly(
+    argv, error, by_library, tmp_path, capsys, monkeypatch
+):
+    # stderr is the subcommand's name and the text of the one error raised,
+    # the library's where it refuses the arguments; a path the CLI refuses
+    # reaches no library call
+    raised = []
+    for name in ("sc_reports", "sweep_reports", "export_artifact"):
+
+        def record(*args, real=getattr(cli, name), **kwargs):
+            try:
+                return real(*args, **kwargs)
+            except ValueError as exc:
+                raised.append(str(exc))
+                raise
+
+        monkeypatch.setattr(cli, name, record)
+    fill = {"missing": tmp_path / "missing", "tmp": tmp_path}
+    assert main([a.format(**fill) for a in argv]) == 2
+    error = error.format(**fill)
+    assert capsys.readouterr().err == f"{argv[0]} error: {error}\n"
+    assert raised == ([error] if by_library else [])
 
 
 @pytest.mark.parametrize(

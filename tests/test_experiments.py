@@ -16,7 +16,13 @@ from starxor import (
     reports,
     stx,
 )
-from starxor.experiments import export_artifact, full_monster_report, orbit_key, sweep_reports
+from starxor.experiments import (
+    export_artifact,
+    full_monster_report,
+    orbit_key,
+    sc_reports,
+    sweep_reports,
+)
 from starxor.reports import measure_stx, verdict
 
 
@@ -207,6 +213,48 @@ def test_transition_cap_and_mask_limit_give_skipped_verdicts(
     assert measured is None
     assert named in note
     assert verdict(measured, 67) == "skipped"
+
+
+CAPS = "--cap-states and --cap-letters must be at least 1"
+WITNESS_SIZES = "--n1 and --n2 must be at least 2 when the witness runs"
+
+
+@pytest.mark.parametrize(
+    "run, error",
+    [
+        (lambda: sc_reports(3, 3, "witness", cap_states=0), CAPS),
+        (lambda: sc_reports(3, 3, "witness", cap_states=-5), CAPS),
+        (lambda: sc_reports(2, 2, "full-monster", cap_letters=0), CAPS),
+        (lambda: sweep_reports(2, 2, cap_states=-5), CAPS),
+        (lambda: sweep_reports(2, 2, cap_letters=0), CAPS),
+        (lambda: sc_reports(0, 2, "formula"), "--n1 and --n2 must be at least 1"),
+        (lambda: sweep_reports(2, 0), "--n1 and --n2 must be at least 1"),
+        (lambda: sc_reports(1, 3, "witness"), WITNESS_SIZES),
+        (lambda: sc_reports(3, 1), WITNESS_SIZES),
+        (lambda: sweep_reports(2, 2, jobs=0), "--jobs must be at least 1"),
+        (lambda: sweep_reports(2, 2, jobs=-3), "--jobs must be at least 1"),
+        # with two bad arguments, caps come before sizes, sizes before the witness
+        # and jobs rules
+        (lambda: sc_reports(0, 2, cap_states=0), CAPS),
+        (lambda: sweep_reports(0, 2, jobs=0), "--n1 and --n2 must be at least 1"),
+    ],
+    ids=[
+        "sc-zero-cap-states", "sc-negative-cap-states", "sc-zero-cap-letters",
+        "sweep-negative-cap-states", "sweep-zero-cap-letters", "sc-zero-size",
+        "sweep-zero-size", "witness-size", "all-size", "zero-jobs", "negative-jobs",
+        "caps-before-sizes", "sizes-before-jobs",
+    ],
+)
+def test_sc_and_sweep_refuse_what_the_cli_refuses_before_any_work(monkeypatch, run, error):
+    # the library, not only the CLI, refuses bad caps, sizes and worker
+    # counts, with the CLI's text, before building an alphabet or a table
+    calls = []
+    monkeypatch.setattr(experiments, "monster2", lambda *a, **k: calls.append("monster2"))
+    monkeypatch.setattr(reports, "stx", lambda *a, **k: calls.append("stx"))
+    with pytest.raises(ValueError) as refused:
+        run()
+    assert str(refused.value) == error
+    assert calls == []
 
 
 @pytest.mark.parametrize(

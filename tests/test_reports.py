@@ -14,6 +14,7 @@ grid size (saturation_normalizer); the two give the same tables.
 
 import functools
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -242,13 +243,13 @@ def test_the_quotient_reaches_the_saturated_corner_seeded_tableaux(shape, n1, n2
 
 def test_a_partition_that_is_not_a_congruence_leaves_the_full_table(monkeypatch):
     # the premise check refuses exactly when the saturation classes are not
-    # a congruence; a refusal builds the full table, counts its classes and
-    # says so
+    # a congruence; it runs before any build, so a refusal builds the full
+    # table alone, counts its classes and says so
     pair = monster2(MonsterSpec.pair(3, 3, {2}, {0}))
     checked, built = [], []
 
     def refuse(product, n1, n2):
-        checked.append(saturation_premises_hold(product, n1, n2))
+        checked.append((len(built), saturation_premises_hold(product, n1, n2)))
         return False
 
     def spy(*args, **kwargs):
@@ -260,9 +261,45 @@ def test_a_partition_that_is_not_a_congruence_leaves_the_full_table(monkeypatch)
     monkeypatch.setattr(reports, "stx", spy)
     size = helpers.full_table_size(lambda: pair, 2**22)
     assert measure_stx(lambda: pair, 2**22) == (size, FULL_TABLE_NOTE)
-    assert checked == [True]
-    # the 67-state quotient is dropped for the 288-state full table
-    assert built == [(False, 67), (True, stx(*pair).state_count)] == [(False, 67), (True, 288)]
+    # checked with no table built, then the 288-state full table, the only build
+    assert checked == [(0, True)]
+    assert built == [(True, stx(*pair).state_count)] == [(True, 288)]
+
+
+def test_a_cap_on_the_quotient_route_skips_with_its_message(monkeypatch):
+    # the (3,3) target monsters pass the check, so the one build is the
+    # 67-state quotient (66 classes), which a cap of 66 cuts short
+    pair = monster2(MonsterSpec.pair(3, 3, {2}, {0}))
+    calls = []
+
+    def check(product, n1, n2):
+        calls.append("check")
+        return saturation_premises_hold(product, n1, n2)
+
+    def spy(*args, **kwargs):
+        calls.append(("stx", kwargs.get("normalize") is None))
+        return stx(*args, **kwargs)
+
+    monkeypatch.setattr(reports, "saturation_premises_hold", check)
+    monkeypatch.setattr(reports, "stx", spy)
+    assert measure_stx(lambda: pair, 67) == (66, "")
+    calls.clear()
+    assert measure_stx(lambda: pair, 66) == (None, "subset states exceed the cap of 66")
+    assert calls == ["check", ("stx", False)]
+
+
+def test_an_oversize_grid_is_refused_with_a_small_premise_check():
+    # the check runs before stx refuses a grid beyond 63 cells, so it must
+    # stay small there: n1 x n1 x n2 booleans, not the 7.6 MiB of one
+    # boolean per (x, x', y, y') at witness (40,40)
+    tracemalloc.start()
+    try:
+        result = measure_stx(lambda: witness_pair(40, 40), 2**22)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result == (None, "1600 operand states exceed the limit of 63 for int64 subset masks")
+    assert peak < 2**20
 
 
 @pytest.mark.parametrize("n1, n2, size", [(2, 8, 2570), (8, 2, 2570), (2, 9, 7328)])

@@ -105,7 +105,7 @@ def test_witness_route_equals_restricted_monster_route():
 
 def test_verify_witness_report():
     report = verify_witness(2, 2)
-    assert report.command == "verify-witness"
+    assert report.command == "sc"
     assert report.parameters == {"n1": 2, "n2": 2, "method": "witness"}
     assert report.measured == 8
     assert report.predicted == 9
